@@ -29,17 +29,27 @@ fi
 ./target/release/metrics_smoke /tmp/sya_ci_metrics.json
 test -s /tmp/sya_ci_trace.jsonl
 
+# Determinism smoke: the same seed gives the same scores on any worker
+# count — the contract of the one Gibbs driver (DESIGN.md §5).
+demo_seeded=(./target/release/sya run demo/gwdb.ddlog
+    --table Well=demo/wells.csv --evidence demo/evidence.csv
+    --epochs 200 --seed 7)
+"${demo_seeded[@]}" --workers 1 --output /tmp/sya_ci_w1.csv > /dev/null
+"${demo_seeded[@]}" --workers 2 --output /tmp/sya_ci_w2.csv > /dev/null
+cmp /tmp/sya_ci_w1.csv /tmp/sya_ci_w2.csv
+echo "determinism smoke: --workers 1 and --workers 2 scores are byte-identical"
+
 # Crash-recovery smoke: SIGKILL a checkpointed demo run mid-inference,
 # resume it from the surviving checkpoint, and require the final scores
-# to match an uninterrupted reference run byte for byte. Deepdive mode
-# (sequential Gibbs) is deterministic for a fixed seed regardless of
-# thread count, so any divergence means the resume path replayed the
-# chain incorrectly.
+# to match an uninterrupted reference run byte for byte. It runs the
+# default (spatial, multi-instance) engine: every draw's stream is
+# derived from (seed, epoch, phase, variable), so any divergence means
+# the resume path replayed the chain incorrectly.
 ckpt_dir=/tmp/sya_ci_ckpt
 rm -rf "$ckpt_dir" /tmp/sya_ci_ref.csv /tmp/sya_ci_resumed.csv
 demo_run=(./target/release/sya run demo/gwdb.ddlog
     --table Well=demo/wells.csv --evidence demo/evidence.csv
-    --engine deepdive --epochs 4000 --seed 7)
+    --epochs 4000 --seed 7)
 "${demo_run[@]}" --output /tmp/sya_ci_ref.csv > /dev/null
 "${demo_run[@]}" --checkpoint-dir "$ckpt_dir" --checkpoint-every 1 \
     --output /tmp/sya_ci_resumed.csv > /dev/null &

@@ -44,7 +44,10 @@ fn bench_pyramid(c: &mut Criterion) {
             BenchmarkId::new("incremental_spatial", n),
             &(&graph, &pyramid, &changed, &cfg),
             |b, (graph, pyramid, changed, cfg)| {
-                b.iter(|| black_box(incremental_spatial_gibbs(graph, pyramid, changed, cfg)))
+                let obs = sya_obs::Obs::disabled();
+                b.iter(|| {
+                    black_box(incremental_spatial_gibbs(graph, pyramid, changed, cfg, None, &obs))
+                })
             },
         );
         group.bench_with_input(

@@ -7,7 +7,9 @@ use std::hint::black_box;
 use sya_bench::{build_kb, calibrate};
 use sya_core::SyaConfig;
 use sya_data::{gwdb_dataset, GwdbConfig};
-use sya_infer::{parallel_random_gibbs, sequential_gibbs, spatial_gibbs, PyramidIndex};
+use sya_bench::parallel_random_gibbs;
+use sya_infer::{sequential_gibbs_with, spatial_gibbs_with, PyramidIndex};
+use sya_runtime::ExecContext;
 
 fn bench_samplers(c: &mut Criterion) {
     let mut group = c.benchmark_group("samplers");
@@ -23,7 +25,8 @@ fn bench_samplers(c: &mut Criterion) {
         let epochs = 50usize;
 
         group.bench_with_input(BenchmarkId::new("sequential", n), &graph, |b, graph| {
-            b.iter(|| black_box(sequential_gibbs(graph, epochs, 5, 1)))
+            let ctx = ExecContext::unbounded();
+            b.iter(|| black_box(sequential_gibbs_with(graph, epochs, 5, 1, &ctx)))
         });
         group.bench_with_input(
             BenchmarkId::new("spatial_k1", n),
@@ -37,7 +40,8 @@ fn bench_samplers(c: &mut Criterion) {
                     ..Default::default()
                 };
                 cfg.locality_level = 8;
-                b.iter(|| black_box(spatial_gibbs(graph, pyramid, &cfg)))
+                let ctx = ExecContext::unbounded();
+                b.iter(|| black_box(spatial_gibbs_with(graph, pyramid, &cfg, &ctx)))
             },
         );
         group.bench_with_input(
@@ -51,7 +55,8 @@ fn bench_samplers(c: &mut Criterion) {
                     seed: 1,
                     ..Default::default()
                 };
-                b.iter(|| black_box(spatial_gibbs(graph, pyramid, &cfg)))
+                let ctx = ExecContext::unbounded();
+                b.iter(|| black_box(spatial_gibbs_with(graph, pyramid, &cfg, &ctx)))
             },
         );
         group.bench_with_input(

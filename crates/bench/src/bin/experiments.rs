@@ -31,8 +31,8 @@ use sya_data::{
     NyccasConfig, QualityEval,
 };
 use sya_infer::{
-    average_kl_divergence, incremental_sequential_gibbs, parallel_random_gibbs,
-    sequential_gibbs, spatial_gibbs, PyramidIndex, SweepMode,
+    average_kl_divergence, incremental_sequential_gibbs, sequential_gibbs_with,
+    spatial_gibbs_with, PyramidIndex, SweepMode,
 };
 use sya_store::Value;
 
@@ -573,6 +573,8 @@ fn fig13(scale: Scale) {
             pyramid,
             &changed,
             &kb.config.infer,
+            None,
+            &sya_obs::Obs::disabled(),
         );
         let sya_ms = t0.elapsed().as_secs_f64() * 1e3;
         // DeepDive: sequential re-sampling of the affected set.
@@ -690,7 +692,10 @@ fn fig14(scale: Scale) {
             icfg.epochs = epochs;
             icfg.burn_in = (epochs / 10).max(1);
             let t0 = Instant::now();
-            let counts = spatial_gibbs(graph, &pyramid, &icfg);
+            let ctx = sya_runtime::ExecContext::unbounded();
+            let counts = spatial_gibbs_with(graph, &pyramid, &icfg, &ctx)
+                .expect("spatial gibbs runs")
+                .counts;
             let spatial_ms = t0.elapsed().as_secs_f64() * 1e3;
             let est: Vec<f64> = query_atoms.iter().map(|&v| counts.factual_score(v)).collect();
             rows.push(Fig14Row {
@@ -702,7 +707,8 @@ fn fig14(scale: Scale) {
             });
             // Standard (sequential) Gibbs.
             let t1 = Instant::now();
-            let counts = sequential_gibbs(graph, epochs, (epochs / 10).max(1), 99);
+            let counts =
+                sequential_gibbs_with(graph, epochs, (epochs / 10).max(1), 99, &ctx).counts;
             let std_ms = t1.elapsed().as_secs_f64() * 1e3;
             let est: Vec<f64> = query_atoms.iter().map(|&v| counts.factual_score(v)).collect();
             rows.push(Fig14Row {
@@ -717,7 +723,8 @@ fn fig14(scale: Scale) {
             // equal parallel structure: stale cross-bucket updates slow
             // its convergence).
             let t2 = Instant::now();
-            let counts = parallel_random_gibbs(graph, epochs, (epochs / 10).max(1), 4, 99);
+            let counts =
+                sya_bench::parallel_random_gibbs(graph, epochs, (epochs / 10).max(1), 4, 99).counts;
             let rnd_ms = t2.elapsed().as_secs_f64() * 1e3;
             let est: Vec<f64> = query_atoms.iter().map(|&v| counts.factual_score(v)).collect();
             rows.push(Fig14Row {

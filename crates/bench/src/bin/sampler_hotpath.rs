@@ -20,7 +20,7 @@ use std::time::Instant;
 use sya_fg::{FactorGraph, SpatialFactor, Variable};
 use sya_geom::Point;
 use sya_infer::{
-    parallel_random_gibbs_with, sequential_gibbs_with, spatial_gibbs_with, InferConfig,
+    sequential_gibbs_with, spatial_gibbs_with, InferConfig,
     PyramidIndex,
 };
 use sya_obs::profile::{self, Site};
@@ -159,7 +159,7 @@ fn run(out: &str, epochs: usize) -> Result<(), String> {
             assert!(run.outcome.is_completed(), "sequential run did not complete");
         }));
         rows.push(measure("parallel_random", side, nvars, || {
-            let run = parallel_random_gibbs_with(&graph, epochs, BURN_IN, CHAINS, SEED, &ctx);
+            let run = sya_bench::parallel_random_gibbs(&graph, epochs, BURN_IN, CHAINS, SEED);
             assert!(run.outcome.is_completed(), "parallel-random run did not complete");
         }));
         let cfg = InferConfig { epochs, burn_in: BURN_IN, seed: SEED, ..InferConfig::default() };

@@ -28,6 +28,28 @@ pub fn build_kb(dataset: &Dataset, config: SyaConfig) -> KnowledgeBase {
         .expect("construction succeeds")
 }
 
+/// The random-partition baseline (paper §V) as the benches run it: `k`
+/// random buckets, one chain.
+pub fn parallel_random_gibbs(
+    graph: &sya_fg::FactorGraph,
+    epochs: usize,
+    burn_in: usize,
+    k: usize,
+    seed: u64,
+) -> sya_infer::SamplerRun {
+    let cfg = sya_infer::InferConfig { epochs, burn_in, seed, instances: 1, ..Default::default() };
+    sya_infer::run_gibbs(
+        graph,
+        &sya_infer::Schedule::random_buckets(graph, k, seed),
+        &cfg,
+        None,
+        &sya_runtime::ExecContext::unbounded(),
+        sya_infer::CheckpointOptions::none(),
+        None,
+    )
+    .expect("a fresh single-instance run completes")
+}
+
 /// Applies the per-dataset bandwidth/radius calibration (unless the
 /// caller already fixed them).
 pub fn calibrate(dataset: &Dataset, mut config: SyaConfig) -> SyaConfig {

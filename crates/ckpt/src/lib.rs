@@ -51,7 +51,13 @@ use sya_infer::{CheckpointSink, CheckpointState};
 /// File magic: identifies a Sya checkpoint regardless of extension.
 pub const MAGIC: [u8; 8] = *b"SYACKPT\0";
 /// Current format version. Bump on any incompatible payload change.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// * 1 — chain states carried a live RNG stream position.
+/// * 2 — every draw's stream is derived from `(seed, epoch, phase,
+///   variable)`; chains carry no RNG state and a run is one
+///   `CheckpointState::Run`. A version-1 file would replay a different
+///   chain, so it is rejected with [`CkptError::VersionMismatch`].
+pub const FORMAT_VERSION: u32 = 2;
 /// Header size in bytes (see the module docs for the layout).
 pub const HEADER_LEN: usize = 40;
 /// File extension for checkpoint files.
@@ -380,14 +386,13 @@ mod tests {
         ChainState {
             epoch,
             assignment: vec![1, 0, 1],
-            rng: vec![9, 8, 7, 6],
             counts: vec![vec![1, 2], vec![3, 0], vec![0, 4]],
             recorded: true,
         }
     }
 
     fn state(epoch: u64) -> CheckpointState {
-        CheckpointState::Sequential(chain(epoch))
+        CheckpointState::Run { sampler: "sequential".to_owned(), chains: vec![chain(epoch)] }
     }
 
     #[test]
@@ -460,15 +465,18 @@ mod tests {
         let dir = tmp_dir("mismatch");
         let store = CheckpointStore::create(&dir, 1).unwrap();
         let path = store.save_state(&state(10)).unwrap();
-        // Bump the version field in place.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8] = 99;
-        fs::write(&path, &bytes).unwrap();
-        match store.load_file(&path) {
-            Err(CkptError::VersionMismatch { found: 99, want, .. }) => {
-                assert_eq!(want, FORMAT_VERSION);
+        // Rewrite the version field in place: a future format, and the
+        // pre-derived-stream format 1 whose chains carried RNG state.
+        for version in [99u8, 1] {
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[8] = version;
+            fs::write(&path, &bytes).unwrap();
+            match store.load_file(&path) {
+                Err(CkptError::VersionMismatch { found, want, .. }) => {
+                    assert_eq!((found, want), (version as u32, FORMAT_VERSION));
+                }
+                other => panic!("expected VersionMismatch, got {other:?}"),
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
         }
         // A store bound to another graph rejects the fingerprint.
         let path2 = store.save_state(&state(11)).unwrap();
@@ -562,11 +570,15 @@ mod tests {
     }
 
     #[test]
-    fn spatial_states_round_trip_with_heterogeneous_epochs() {
+    fn multi_instance_states_round_trip() {
         let dir = tmp_dir("spatial");
         let store = CheckpointStore::create(&dir, 7).unwrap();
-        let state = CheckpointState::Spatial { instances: vec![chain(12), chain(9)] };
+        let state = CheckpointState::Run {
+            sampler: "spatial".to_owned(),
+            chains: vec![chain(9), chain(9)],
+        };
         assert_eq!(state.epoch(), 9);
+        assert_eq!(state.kind(), "spatial");
         store.save_state(&state).unwrap();
         let rec = store.recover(|_| Ok(())).unwrap();
         assert_eq!(rec.state.unwrap().1, state);

@@ -46,7 +46,7 @@ pub mod result;
 pub use config::{CheckpointConfig, EngineMode, SamplerKind, SyaConfig};
 pub use error::SyaError;
 pub use sya_ckpt::{CheckpointStore, CkptError, Recovery};
-pub use pipeline::{ExtendStats, SyaSession};
+pub use pipeline::SyaSession;
 pub use query::{hull_of, to_geojson, KbFact, KbQuery};
 pub use result::{KnowledgeBase, Timings};
 pub use sya_obs::{ConvergenceSeries, MetricsSnapshot, Obs, TracerSnapshot};

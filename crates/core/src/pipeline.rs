@@ -9,8 +9,7 @@ use sya_ckpt::CheckpointStore;
 use sya_geom::DistanceMetric;
 use sya_ground::{expand_step_function_rules, Grounder, Grounding};
 use sya_infer::{
-    parallel_random_gibbs_ckpt, sequential_gibbs_ckpt, spatial_gibbs_ckpt, CheckpointOptions,
-    CheckpointState, PyramidIndex, SamplerRun,
+    run_gibbs, CheckpointOptions, CheckpointState, InferConfig, PyramidIndex, SamplerRun, Schedule,
 };
 use sya_lang::{compile_with, parse_program_with, CompiledProgram, GeomConstants};
 use sya_obs::Obs;
@@ -160,6 +159,13 @@ impl SyaSession {
         let t1 = Instant::now();
         let infer = &self.config.infer;
         let infer_span = obs.span("pipeline.infer");
+        // Recovery only accepts states written by this run's sampler.
+        let chains = match resume_state {
+            Some(CheckpointState::Run { chains, .. }) => Some(chains),
+            _ => None,
+        };
+        // The non-spatial samplers are single-chain baselines.
+        let single = InferConfig { instances: 1, ..infer.clone() };
         let (run, pyramid) = match self.config.sampler {
             SamplerKind::Spatial => {
                 let tp = Instant::now();
@@ -171,51 +177,21 @@ impl SyaSession {
                     pyramid
                 };
                 obs.gauge_set("infer.pyramid_build_seconds", tp.elapsed().as_secs_f64());
-                if self.config.sharding.is_enabled() {
-                    let run = self.run_sharded_inference(&grounding.graph, &pyramid, ctx)?;
-                    (run, Some(pyramid))
+                let run = if self.config.sharding.is_enabled() {
+                    self.run_sharded_inference(&grounding.graph, &pyramid, ctx)?
                 } else {
-                    let chains = match resume_state {
-                        Some(CheckpointState::Spatial { instances }) => Some(instances),
-                        _ => None,
-                    };
-                    let run =
-                        spatial_gibbs_ckpt(&grounding.graph, &pyramid, infer, ctx, ckpt, chains)?;
-                    (run, Some(pyramid))
-                }
+                    let schedule = Schedule::spatial(&grounding.graph, &pyramid, infer);
+                    run_gibbs(&grounding.graph, &schedule, infer, None, ctx, ckpt, chains)?
+                };
+                (run, Some(pyramid))
             }
             SamplerKind::Sequential => {
-                let chain = match resume_state {
-                    Some(CheckpointState::Sequential(c)) => Some(c),
-                    _ => None,
-                };
-                let run = sequential_gibbs_ckpt(
-                    &grounding.graph,
-                    infer.epochs,
-                    infer.burn_in,
-                    infer.seed,
-                    ctx,
-                    ckpt,
-                    chain,
-                )?;
-                (run, None)
+                let schedule = Schedule::sequential(&grounding.graph);
+                (run_gibbs(&grounding.graph, &schedule, &single, None, ctx, ckpt, chains)?, None)
             }
             SamplerKind::ParallelRandom(k) => {
-                let chain = match resume_state {
-                    Some(CheckpointState::Parallel(c)) => Some(c),
-                    _ => None,
-                };
-                let run = parallel_random_gibbs_ckpt(
-                    &grounding.graph,
-                    infer.epochs,
-                    infer.burn_in,
-                    k,
-                    infer.seed,
-                    ctx,
-                    ckpt,
-                    chain,
-                )?;
-                (run, None)
+                let schedule = Schedule::random_buckets(&grounding.graph, k, infer.seed);
+                (run_gibbs(&grounding.graph, &schedule, &single, None, ctx, ckpt, chains)?, None)
             }
         };
         drop(infer_span);
@@ -287,7 +263,7 @@ impl SyaSession {
         // The incremental path's counters exist from the start of every
         // observed run: dashboards and `--metrics-out` dumps then show an
         // explicit zero instead of a missing key before the first
-        // evidence/extend update arrives.
+        // evidence or row update arrives.
         obs.counter_add("infer.incremental.resampled_vars", 0);
         obs.counter_add("infer.incremental.cells_touched", 0);
         let t0 = Instant::now();
@@ -501,6 +477,7 @@ impl SyaSession {
         if !cfg.resume {
             return Ok((Some(store), None));
         }
+        // `Schedule::kind` of the schedule `construct_with` will run.
         let (expected_kind, instances) = match self.config.sampler {
             SamplerKind::Spatial => ("spatial", self.config.infer.instances.max(1)),
             SamplerKind::Sequential => ("sequential", 1),
@@ -542,90 +519,6 @@ impl SyaSession {
         };
         Ok((Some(store), state))
     }
-
-    /// Incrementally extends a knowledge base after new input tuples
-    /// arrive (paper Section II's update path): inserts the rows,
-    /// delta-grounds only the affected rules, bulk-inserts the new ground
-    /// atoms into the pyramid index, and re-samples only the concliques
-    /// of the new variables.
-    ///
-    /// `new_rows` pairs relation names with tuples to insert. Requires a
-    /// knowledge base built with the spatial sampler (the pyramid is the
-    /// update structure); returns the update statistics.
-    pub fn extend(
-        &self,
-        kb: &mut KnowledgeBase,
-        db: &mut Database,
-        new_rows: &[(String, sya_store::Row)],
-        evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
-    ) -> Result<ExtendStats, SyaError> {
-        let t0 = Instant::now();
-        // 1. Insert rows, tracking indices per relation.
-        let mut delta: std::collections::HashMap<String, Vec<usize>> = Default::default();
-        for (relation, row) in new_rows {
-            let table = db.table_mut(relation).map_err(|e| {
-                SyaError::Ground(sya_ground::GroundError::Store(e))
-            })?;
-            delta.entry(relation.clone()).or_default().push(table.len());
-            table
-                .insert(row.clone())
-                .map_err(|e| SyaError::Ground(sya_ground::GroundError::Store(e)))?;
-        }
-
-        // 2. Delta grounding.
-        let vars_before = kb.grounding.graph.num_variables();
-        let factors_before = kb.grounding.graph.num_factors();
-        let spatial_before = kb.grounding.graph.num_spatial_factors();
-        let mut grounder = Grounder::new(&self.compiled, self.config.ground.clone());
-        let new_vars = grounder
-            .ground_delta(db, evidence, &mut kb.grounding, &delta)?;
-        let grounding_time = t0.elapsed();
-
-        // 3. Bulk-insert the new atoms into the pyramid and grow the
-        //    sample counters.
-        kb.counts.extend_for(&kb.grounding.graph);
-        // Warm start for the restricted re-sample: existing variables at
-        // their converged argmax, new ones at 0 (they are re-sampled
-        // anyway — only the frozen surroundings' values matter).
-        let init = kb.map_assignment();
-        let t1 = Instant::now();
-        let mut resampled = 0usize;
-        if let Some(pyramid) = kb.pyramid.as_mut() {
-            for &v in &new_vars {
-                if let Some(p) = kb.grounding.graph.variable(v).location {
-                    pyramid.insert(v, p, &kb.grounding.graph);
-                }
-            }
-            // 4. Re-sample only the new variables' concliques.
-            if !new_vars.is_empty() {
-                let (fresh, touched) = sya_infer::incremental_spatial_gibbs_warm(
-                    &kb.grounding.graph,
-                    pyramid,
-                    &new_vars,
-                    &self.config.infer,
-                    Some(&init),
-                    &self.obs,
-                );
-                resampled = touched.len();
-                kb.counts.merge_affected(&fresh, touched);
-            }
-        }
-        // Saturating: delta grounding only adds today, but a future
-        // compacting pass may shrink the graph mid-extend, and a usize
-        // underflow here would panic instead of reporting zero growth.
-        Ok(ExtendStats {
-            new_variables: kb.grounding.graph.num_variables().saturating_sub(vars_before),
-            new_logical_factors: kb.grounding.graph.num_factors().saturating_sub(factors_before),
-            new_spatial_factors: kb
-                .grounding
-                .graph
-                .num_spatial_factors()
-                .saturating_sub(spatial_before),
-            resampled,
-            grounding: grounding_time,
-            inference: t1.elapsed(),
-        })
-    }
 }
 
 impl SyaSession {
@@ -661,18 +554,6 @@ impl SyaSession {
             .zip(learned)
             .collect()
     }
-}
-
-/// Statistics of one [`SyaSession::extend`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExtendStats {
-    pub new_variables: usize,
-    pub new_logical_factors: usize,
-    pub new_spatial_factors: usize,
-    /// Variables re-sampled by the conclique-restricted update.
-    pub resampled: usize,
-    pub grounding: std::time::Duration,
-    pub inference: std::time::Duration,
 }
 
 #[cfg(test)]
@@ -798,53 +679,6 @@ mod tests {
         };
         assert_eq!(n, 0);
         assert_eq!(t, std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn extend_grows_the_knowledge_base_incrementally() {
-        use sya_geom::Point;
-        let mut d = gwdb_dataset(&GwdbConfig { n_wells: 200, ..Default::default() });
-        let cfg = SyaConfig::sya()
-            .with_epochs(200)
-            .with_bandwidth(15.0)
-            .with_spatial_radius(30.0);
-        let session =
-            SyaSession::new(&d.program, d.constants.clone(), d.metric, cfg).unwrap();
-        let evidence = d.evidence.clone();
-        let ev = move |_: &str, vals: &[Value]| {
-            vals.first()
-                .and_then(Value::as_int)
-                .and_then(|id| evidence.get(&id).copied())
-        };
-        let mut kb = session.construct(&mut d.db, &ev).unwrap();
-        assert_eq!(kb.grounding.graph.num_variables(), 200);
-
-        // Add three new wells near existing ones.
-        let new_rows: Vec<(String, Vec<Value>)> = (0..3)
-            .map(|i| {
-                (
-                    "Well".to_owned(),
-                    vec![
-                        Value::Int(1000 + i),
-                        Value::from(Point::new(100.0 + i as f64, 100.0)),
-                        Value::Double(0.1),
-                        Value::Double(0.2),
-                    ],
-                )
-            })
-            .collect();
-        let stats = session.extend(&mut kb, &mut d.db, &new_rows, &ev).unwrap();
-        assert_eq!(stats.new_variables, 3);
-        assert_eq!(kb.grounding.graph.num_variables(), 203);
-        assert!(stats.resampled >= 3, "new atoms must be sampled: {stats:?}");
-        assert!(stats.resampled < 203, "must not resample everything");
-        // The new atoms have scores.
-        let score = kb
-            .factual_score("IsSafe", &[Value::Int(1000), Value::from(Point::new(100.0, 100.0))])
-            .expect("new atom exists");
-        assert!((0.0..=1.0).contains(&score));
-        // Query API sees the extended KB.
-        assert_eq!(kb.query("IsSafe").run().len(), 203);
     }
 
     #[test]
@@ -1008,28 +842,6 @@ mod tests {
                 .all(|s| s.parent == Some(ground.id)),
             "ground.rule spans must be children of pipeline.ground"
         );
-    }
-
-    #[test]
-    fn extend_with_no_new_rows_reports_zero_growth() {
-        // Boundary of the saturating stats arithmetic: an extend call
-        // that grounds nothing must report zeros, never underflow.
-        let mut d = gwdb_dataset(&GwdbConfig { n_wells: 50, ..Default::default() });
-        let cfg = SyaConfig::sya().with_epochs(50);
-        let session =
-            SyaSession::new(&d.program, d.constants.clone(), d.metric, cfg).unwrap();
-        let evidence = d.evidence.clone();
-        let ev = move |_: &str, vals: &[Value]| {
-            vals.first()
-                .and_then(Value::as_int)
-                .and_then(|id| evidence.get(&id).copied())
-        };
-        let mut kb = session.construct(&mut d.db, &ev).unwrap();
-        let stats = session.extend(&mut kb, &mut d.db, &[], &ev).unwrap();
-        assert_eq!(stats.new_variables, 0);
-        assert_eq!(stats.new_logical_factors, 0);
-        assert_eq!(stats.new_spatial_factors, 0);
-        assert_eq!(stats.resampled, 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::time::Duration;
 use sya_fg::VarId;
 use sya_ground::Grounding;
-use sya_infer::{incremental_spatial_gibbs_warm, MarginalCounts, PyramidIndex};
+use sya_infer::{incremental_spatial_gibbs, MarginalCounts, PyramidIndex};
 use sya_obs::Obs;
 use sya_runtime::RunOutcome;
 use sya_store::Value;
@@ -183,7 +183,7 @@ impl KnowledgeBase {
         let changed: Vec<VarId> = changes.iter().map(|&(v, _)| v).collect();
         let start = std::time::Instant::now();
         let (fresh, resampled): (MarginalCounts, HashSet<VarId>) =
-            incremental_spatial_gibbs_warm(
+            incremental_spatial_gibbs(
                 &self.grounding.graph,
                 pyramid,
                 &changed,

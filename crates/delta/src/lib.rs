@@ -270,7 +270,7 @@ pub fn apply_updates(
     let live_factors_mid = kb.grounding.graph.num_live_factors();
     let live_spatial_mid = kb.grounding.graph.num_live_spatial_factors();
 
-    // ---- Insert phase: the positive delta path, as in `SyaSession::extend`.
+    // ---- Insert phase: the positive delta path.
     let mut insert_delta: HashMap<String, Vec<usize>> = HashMap::new();
     for u in updates.iter().filter(|u| u.op == RowOp::Insert) {
         let table =
@@ -306,7 +306,7 @@ pub fn apply_updates(
 
     let t1 = Instant::now();
     if !changed.is_empty() {
-        let (fresh, affected) = sya_infer::incremental_spatial_gibbs_warm(
+        let (fresh, affected) = sya_infer::incremental_spatial_gibbs(
             &kb.grounding.graph,
             pyramid,
             &changed,
@@ -539,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_matches_extend_semantics() {
+    fn insert_grounds_and_samples_the_new_atom() {
         let (session, mut kb, mut d) = build(60);
         let evidence = ev(&d);
         let before = kb.grounding.graph.num_live_variables();

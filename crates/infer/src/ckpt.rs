@@ -4,10 +4,10 @@
 //! The contract is bit-for-bit determinism: for a fixed seed, a run
 //! interrupted at any epoch barrier and resumed from its checkpoint
 //! produces marginals identical to an uninterrupted run. That works
-//! because everything a sweep consumes is either derived from the seed
-//! and epoch number (parallel worker streams) or carried here
-//! explicitly (assignment, marginal counts, the sequential RNG's stream
-//! position).
+//! because every draw's stream is derived from `(seed, epoch, phase,
+//! variable)`: the only live state is what is carried here — the
+//! assignment and the marginal counts. There is no RNG position to
+//! persist.
 //!
 //! This module defines only the *state* and the [`CheckpointSink`]
 //! boundary; the on-disk format (header, CRC, fingerprint, atomic
@@ -19,21 +19,17 @@ use serde::{Deserialize, Serialize};
 use sya_fg::FactorGraph;
 
 /// Sampler-ready parts of a restored chain: next epoch, assignment,
-/// RNG words, marginal counts, recorded flag.
-pub type RestoredChain = (usize, Vec<u32>, [u64; 4], MarginalCounts, bool);
+/// marginal counts, recorded flag.
+pub type RestoredChain = (usize, Vec<u32>, MarginalCounts, bool);
 
-/// Persistent state of one Gibbs chain (a sequential run, a parallel
-/// run's shared chain, or one spatial inference instance).
+/// Persistent state of one Gibbs chain (one inference instance, or one
+/// shard of a sharded run).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChainState {
     /// Next epoch to execute (epochs `0..epoch` are complete).
     pub epoch: u64,
     /// Current variable assignment (evidence values included).
     pub assignment: Vec<u32>,
-    /// RNG stream position (`StdRng::state()`), 4 words. Chains whose
-    /// per-epoch streams are derived from `(seed, epoch)` still persist
-    /// it for uniformity; restoring it is then a no-op.
-    pub rng: Vec<u64>,
     /// Raw marginal count rows accumulated so far.
     pub counts: Vec<Vec<u64>>,
     /// Whether any post-burn-in epoch has recorded samples (drives the
@@ -43,8 +39,8 @@ pub struct ChainState {
 
 impl ChainState {
     /// Validates the chain against the graph it claims to belong to and
-    /// splits it into sampler-ready parts. The RNG words are checked for
-    /// length, assignments for domain range, counts for shape.
+    /// splits it into sampler-ready parts. Assignments are checked for
+    /// domain range and evidence, counts for shape.
     pub fn restore(self, graph: &FactorGraph) -> Result<RestoredChain, String> {
         if self.assignment.len() != graph.num_variables() {
             return Err(format!(
@@ -69,30 +65,20 @@ impl ChainState {
                 }
             }
         }
-        let rng: [u64; 4] = self
-            .rng
-            .as_slice()
-            .try_into()
-            .map_err(|_| format!("rng state has {} words, want 4", self.rng.len()))?;
         let counts = MarginalCounts::from_rows(graph, self.counts)?;
-        Ok((self.epoch as usize, self.assignment, rng, counts, self.recorded))
+        Ok((self.epoch as usize, self.assignment, counts, self.recorded))
     }
 }
 
 /// Full sampler state at an epoch barrier — the payload a checkpoint
-/// file carries. The variant must match the sampler that resumes it.
+/// file carries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CheckpointState {
-    /// Sequential single-site Gibbs: one chain, live RNG stream.
-    Sequential(ChainState),
-    /// Random-partition parallel Gibbs: one shared chain; bucket worker
-    /// streams are derived from `(seed, epoch, bucket)` so only the
-    /// chain itself persists.
-    Parallel(ChainState),
-    /// Spatial Gibbs: one chain per inference instance. Instances
-    /// checkpoint at their own barriers, so after an interruption their
-    /// epochs may differ — each resumes from its own position.
-    Spatial { instances: Vec<ChainState> },
+    /// A driver run: one chain per inference instance, all at the same
+    /// epoch barrier (the instances step in lockstep). `sampler` is the
+    /// [`Schedule::kind`](crate::Schedule::kind) that wrote it and must
+    /// match the schedule that resumes it.
+    Run { sampler: String, chains: Vec<ChainState> },
     /// One shard of a spatially sharded run (`sya-shard`): the shard's
     /// counts plus a full board snapshot. Shards run in lockstep and
     /// save into per-shard stores; a manifest beside the stores ties the
@@ -105,33 +91,29 @@ impl CheckpointState {
     /// name/order checkpoint files monotonically.
     pub fn epoch(&self) -> u64 {
         match self {
-            CheckpointState::Sequential(c) | CheckpointState::Parallel(c) => c.epoch,
-            CheckpointState::Spatial { instances } => {
-                instances.iter().map(|c| c.epoch).min().unwrap_or(0)
+            CheckpointState::Run { chains, .. } => {
+                chains.iter().map(|c| c.epoch).min().unwrap_or(0)
             }
             CheckpointState::Shard { chain, .. } => chain.epoch,
         }
     }
 
     /// Short human/sampler tag, for events and mismatch messages.
-    pub fn kind(&self) -> &'static str {
+    pub fn kind(&self) -> &str {
         match self {
-            CheckpointState::Sequential(_) => "sequential",
-            CheckpointState::Parallel(_) => "parallel",
-            CheckpointState::Spatial { .. } => "spatial",
+            CheckpointState::Run { sampler, .. } => sampler,
             CheckpointState::Shard { .. } => "shard",
         }
     }
 
-    /// Cheap structural validation against the graph (and instance
-    /// count, for the spatial sampler) without consuming the state —
+    /// Cheap structural validation against the graph and instance
+    /// count without consuming the state —
     /// what the recovery scan uses to skip checkpoints that are intact
     /// on disk but belong to a different run shape.
     pub fn validate_for(&self, graph: &FactorGraph, instances: usize) -> Result<(), String> {
         let check = |c: &ChainState| c.clone().restore(graph).map(|_| ());
         match self {
-            CheckpointState::Sequential(c) | CheckpointState::Parallel(c) => check(c),
-            CheckpointState::Spatial { instances: chains } => {
+            CheckpointState::Run { chains, .. } => {
                 if chains.len() != instances {
                     return Err(format!(
                         "checkpoint has {} instance chains, run configures {instances}",
@@ -166,7 +148,7 @@ pub trait CheckpointSink: Sync {
 pub struct CheckpointOptions<'a> {
     /// Destination for completed states; `None` disables checkpointing.
     pub sink: Option<&'a dyn CheckpointSink>,
-    /// Save every `every` epochs (per chain). `0` saves only the final
+    /// Save every `every` epochs (per instance). `0` saves only the final
     /// barrier state (run end or interruption).
     pub every: usize,
 }
@@ -208,7 +190,6 @@ mod tests {
         ChainState {
             epoch: 5,
             assignment: vec![1, 2],
-            rng: vec![1, 2, 3, 4],
             counts: vec![vec![0, 5], vec![1, 2, 2]],
             recorded: true,
         }
@@ -217,10 +198,9 @@ mod tests {
     #[test]
     fn restore_round_trips_valid_state() {
         let g = graph();
-        let (epoch, assignment, rng, counts, recorded) = chain().restore(&g).unwrap();
+        let (epoch, assignment, counts, recorded) = chain().restore(&g).unwrap();
         assert_eq!(epoch, 5);
         assert_eq!(assignment, vec![1, 2]);
-        assert_eq!(rng, [1, 2, 3, 4]);
         assert_eq!(counts.total_samples(1), 5);
         assert!(recorded);
     }
@@ -240,20 +220,20 @@ mod tests {
         bad_evidence.assignment[0] = 0;
         assert!(bad_evidence.restore(&g).unwrap_err().contains("contradicts evidence"));
 
-        let mut bad_rng = chain();
-        bad_rng.rng.push(7);
-        assert!(bad_rng.restore(&g).unwrap_err().contains("5 words"));
-
         let mut bad_counts = chain();
         bad_counts.counts[1].pop();
         assert!(bad_counts.restore(&g).unwrap_err().contains("cardinality"));
+    }
+
+    fn run(chains: Vec<ChainState>) -> CheckpointState {
+        CheckpointState::Run { sampler: "spatial".to_owned(), chains }
     }
 
     #[test]
     fn state_epoch_is_min_across_instances() {
         let mut late = chain();
         late.epoch = 9;
-        let state = CheckpointState::Spatial { instances: vec![late, chain()] };
+        let state = run(vec![late, chain()]);
         assert_eq!(state.epoch(), 5);
         assert_eq!(state.kind(), "spatial");
     }
@@ -261,7 +241,7 @@ mod tests {
     #[test]
     fn validate_for_checks_instance_count() {
         let g = graph();
-        let state = CheckpointState::Spatial { instances: vec![chain()] };
+        let state = run(vec![chain()]);
         assert!(state.validate_for(&g, 1).is_ok());
         assert!(state.validate_for(&g, 2).unwrap_err().contains("1 instance chains"));
     }
@@ -286,7 +266,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip_preserves_state() {
-        let state = CheckpointState::Spatial { instances: vec![chain(), chain()] };
+        let state = run(vec![chain(), chain()]);
         let text = serde_json::to_string(&state).unwrap();
         let back: CheckpointState = serde_json::from_str(&text).unwrap();
         assert_eq!(state, back);

@@ -1,7 +1,9 @@
 //! # sya-infer — the inference module
 //!
 //! Estimates the marginal probabilities (factual scores) of the spatial
-//! factor graph's variables (paper Section V). The module provides:
+//! factor graph's variables (paper Section V). There is **one sampler**:
+//! a Gibbs kernel, a schedule that says what an epoch sweeps, and a
+//! driver that owns the only epoch loop.
 //!
 //! * [`pyramid`] — the in-memory **partial pyramid index** [Aref & Samet]
 //!   that spatially partitions the factor graph: `L` levels, `4^l` cells
@@ -10,47 +12,52 @@
 //! * [`conclique`] — **concliques-based partitioning** [Kaiser et al.]:
 //!   the 4-colouring of grid cells into sets of mutually non-neighbouring
 //!   cells, and the minimum conclique cover of the non-empty cells;
-//! * [`gibbs`] — the baselines: DeepDive's sequential Gibbs sampler and
-//!   the random-partition parallel Gibbs the paper argues against;
-//! * [`spatial_gibbs`](mod@spatial_gibbs) — **Spatial Gibbs Sampling** (Algorithm 1):
-//!   `K` parallel inference instances, each sweeping pyramid levels
-//!   serially, concliques serially, and cells within a conclique in
-//!   parallel, with per-epoch count averaging;
-//! * [`incremental`] — incremental inference: after evidence updates,
-//!   only the concliques of affected variables are re-sampled;
-//! * [`marginals`] — sample counters, marginal extraction, and the KL
-//!   divergence metric of Fig. 14;
-//! * [`run`] — governed execution: every sampler has a `*_with` variant
-//!   taking an [`ExecContext`](sya_runtime::ExecContext) that honours
-//!   deadlines/cancellation at epoch barriers, isolates worker panics,
-//!   and reports a [`RunOutcome`](sya_runtime::RunOutcome).
+//! * [`schedule`] — a [`Schedule`] is a list of phases, a phase a list
+//!   of units, a unit a list of variables. Sequential Gibbs is 1 phase ×
+//!   1 unit; the random-partition baseline 1 phase × `k` buckets;
+//!   **Spatial Gibbs Sampling** (Algorithm 1) `(level, conclique)` phases
+//!   × cell units; incremental inference the same schedule filtered to
+//!   the affected cells;
+//! * [`kernel`] — sweeps a unit sequentially (plain Gibbs, seeing its own
+//!   writes at once) against every other unit frozen at the phase start;
+//!   writes are published at the phase barrier and every draw comes from
+//!   a stream derived from `(seed, epoch, phase, variable)`. Also the
+//!   phase-step API ([`Chain`]) for executors that own their epoch loop
+//!   (the shard executors of `sya-shard`);
+//! * [`driver`] — [`run_gibbs`]: `K` boards stepped through the schedule
+//!   by one loop, with deadlines/cancellation at epoch barriers, panic
+//!   isolation, checkpoint/resume and telemetry;
+//! * [`marginals`] — sample counters, marginal extraction, the exact
+//!   enumeration oracle, and the KL divergence metric of Fig. 14.
+//!
+//! **The determinism contract:** the same seed gives the same counts on
+//! any core, worker, lane or shard count, and across a checkpoint
+//! resume. It is a property of the kernel (derived streams + frozen
+//! phase boards), not of a thread pin.
 
 pub mod ckpt;
 pub mod conclique;
-pub mod gibbs;
-pub mod incremental;
+pub mod driver;
+pub mod kernel;
 pub mod learn;
 pub mod marginals;
 pub mod pyramid;
 pub mod run;
-pub mod shard_sweep;
-pub mod spatial_gibbs;
+pub mod schedule;
+#[cfg(test)]
+mod testutil;
 pub mod work_model;
 
 pub use ckpt::{ChainState, CheckpointOptions, CheckpointSink, CheckpointState};
 pub use conclique::{conclique_of, min_conclique_cover, Conclique};
-pub use gibbs::{
-    parallel_random_gibbs, parallel_random_gibbs_ckpt, parallel_random_gibbs_with,
-    sequential_gibbs, sequential_gibbs_ckpt, sequential_gibbs_with,
+pub use driver::{
+    incremental_sequential_gibbs, incremental_spatial_gibbs, run_gibbs, sequential_gibbs_with,
+    spatial_gibbs_with,
 };
-pub use incremental::{
-    incremental_sequential_gibbs, incremental_spatial_gibbs, incremental_spatial_gibbs_observed,
-    incremental_spatial_gibbs_warm,
-};
+pub use kernel::{init_board, var_epoch_rng, Chain};
 pub use learn::{learn_weights, map_assignment, pseudo_log_likelihood, LearnConfig};
-pub use marginals::{average_kl_divergence, MarginalCounts};
+pub use marginals::{average_kl_divergence, exact_marginals, MarginalCounts};
 pub use pyramid::{CellKey, PyramidIndex};
 pub use run::{InferError, SamplerRun};
-pub use shard_sweep::{init_board, var_epoch_rng, ShardChain, ShardSchedule, SweepPhase};
-pub use spatial_gibbs::{spatial_gibbs, spatial_gibbs_ckpt, spatial_gibbs_with, InferConfig, SweepMode};
+pub use schedule::{InferConfig, Phase, Schedule, SweepMode};
 pub use work_model::{epoch_work, EpochWork};

@@ -1,9 +1,9 @@
 //! Governed sampler runs: outcome reporting and inference errors.
 //!
-//! Every sampler has a `*_with` variant taking an
-//! [`ExecContext`](sya_runtime::ExecContext); it honours deadlines and
-//! cancellation at epoch barriers, isolates worker panics, and reports
-//! how the run ended instead of aborting the process.
+//! Every run takes an [`ExecContext`](sya_runtime::ExecContext); the
+//! driver honours deadlines and cancellation at epoch barriers,
+//! isolates lane panics, and reports how the run ended instead of
+//! aborting the process.
 
 use crate::marginals::MarginalCounts;
 use std::fmt;
@@ -20,7 +20,7 @@ pub struct SamplerRun {
     /// the run stopped early (the counts are partial but valid).
     pub outcome: RunOutcome,
     /// Human-readable notes about what degraded (dropped instances,
-    /// sequentially re-run cells).
+    /// re-sampled lanes, failed checkpoint saves).
     pub warnings: Vec<String>,
     /// Per-epoch convergence trajectory (flip rate, marginal delta,
     /// pseudo-log-likelihood at a fixed cadence). Multi-instance runs
@@ -45,6 +45,13 @@ pub enum InferError {
     BadResume {
         detail: String,
     },
+    /// A shard's ownership class cuts through a sweep unit (a sweep
+    /// level coarser than the partition level). Units are swept
+    /// sequentially by one owner; clipping one would make the samples
+    /// depend on the shard count, so the configuration is refused.
+    SplitUnit {
+        detail: String,
+    },
     /// A multi-process cluster run could not be set up or supervised
     /// past the point of graceful degradation (e.g. the coordinator
     /// socket cannot bind, or every shard exhausted its restart
@@ -63,6 +70,9 @@ impl fmt::Display for InferError {
             ),
             InferError::BadResume { detail } => {
                 write!(f, "resume state does not fit this run: {detail}")
+            }
+            InferError::SplitUnit { detail } => {
+                write!(f, "shard plan splits a sweep unit: {detail}")
             }
             InferError::Cluster { detail } => write!(f, "cluster failure: {detail}"),
         }

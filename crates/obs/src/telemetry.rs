@@ -144,13 +144,14 @@ impl EpochTelemetry {
     }
 
     /// Close an epoch: record its flip rate and fold the current
-    /// assignment (as indicators) into the running marginals.
+    /// assignment (as indicators) into the running marginals. Returns
+    /// the epoch's marginal delta.
     pub fn end_epoch(
         &mut self,
         flips: u64,
         samples: u64,
         indicators: impl Iterator<Item = bool>,
-    ) {
+    ) -> f64 {
         self.epochs_seen += 1;
         self.series.epochs = self.epochs_seen as usize;
         self.series.flips_total += flips;
@@ -171,6 +172,17 @@ impl EpochTelemetry {
             self.prev_p[v] = p;
         }
         self.series.marginal_delta.push(delta);
+        delta
+    }
+
+    /// Running mean of indicator `v` over the epochs closed so far.
+    pub fn running_mean(&self, v: usize) -> f64 {
+        self.prev_p[v]
+    }
+
+    /// `(samples, flips)` over the epochs closed so far.
+    pub fn totals(&self) -> (u64, u64) {
+        (self.series.samples_total, self.series.flips_total)
     }
 
     /// Record a pseudo-log-likelihood observation for `epoch`.

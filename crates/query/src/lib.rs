@@ -94,7 +94,6 @@ impl Default for QueryConfig {
                 levels: 4,
                 locality_level: 4,
                 burn_in: 24,
-                workers: Some(1),
                 ..InferConfig::default()
             },
         }

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use sya_fg::VarId;
 use sya_geom::{DistanceMetric, Point};
 use sya_ground::{GroundConfig, Grounder, Grounding};
-use sya_infer::{spatial_gibbs, InferConfig, PyramidIndex};
+use sya_infer::{spatial_gibbs_with, InferConfig, PyramidIndex};
 use sya_lang::{compile, parse_program, CompiledProgram, GeomConstants};
 use sya_query::{QueryConfig, QueryGrounder};
 use sya_runtime::ExecContext;
@@ -114,7 +114,6 @@ fn chain_cfg(epochs: usize, seed: u64) -> InferConfig {
         instances: 1,
         levels: 3,
         locality_level: 3,
-        workers: Some(1),
         seed,
         ..InferConfig::default()
     }
@@ -131,7 +130,9 @@ fn full_scores(
     let mut grounder = Grounder::new(compiled, gcfg.clone());
     let grounding = grounder.ground(&mut db, &kb.evidence_fn()).unwrap();
     let pyramid = PyramidIndex::build(&grounding.graph, icfg.levels, icfg.cell_capacity);
-    let counts = spatial_gibbs(&grounding.graph, &pyramid, icfg);
+    let counts = spatial_gibbs_with(&grounding.graph, &pyramid, icfg, &ExecContext::unbounded())
+        .unwrap()
+        .counts;
     let mut scores = HashMap::new();
     for &v in grounding.atoms_of("IsSafe") {
         let (_, values) = &grounding.atom_meta[v as usize];

@@ -334,7 +334,7 @@ impl ServingKb {
     }
 }
 
-/// Synthesizes a `CheckpointState::Spatial` snapshot of the live KB.
+/// Synthesizes a spatial `CheckpointState::Run` snapshot of the live KB.
 ///
 /// The chains are *not* a paused sampler: each of the `k` configured
 /// instances gets the same assignment (evidence value, else the count
@@ -347,21 +347,13 @@ impl ServingKb {
 fn live_checkpoint_state(kb: &KnowledgeBase, serve_epoch: u64) -> CheckpointState {
     let cfg = &kb.config.infer;
     let k = cfg.instances.max(1);
-    let share = (cfg.epochs / k).max(1) as u64;
-    let assignment = kb.map_assignment();
+    // One past the longest per-instance share (`⌈E/K⌉`).
+    let share = cfg.epochs.div_ceil(k).max(1) as u64;
     let chain = ChainState {
         epoch: share + serve_epoch,
-        assignment,
-        // Any well-formed (non-zero) xoshiro state: the resume replays
-        // zero epochs, so the stream is never advanced.
-        rng: vec![
-            cfg.seed ^ 0x9E37_79B9_7F4A_7C15,
-            cfg.seed.rotate_left(21) | 1,
-            0xD1B5_4A32_D192_ED03,
-            serve_epoch.wrapping_add(1),
-        ],
+        assignment: kb.map_assignment(),
         counts: kb.counts.to_rows(),
         recorded: true,
     };
-    CheckpointState::Spatial { instances: vec![chain; k] }
+    CheckpointState::Run { sampler: "spatial".to_owned(), chains: vec![chain; k] }
 }

@@ -41,14 +41,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use sya_ckpt::CheckpointStore;
 use sya_fg::FactorGraph;
 use sya_infer::{
-    init_board, CheckpointState, InferConfig, InferError, MarginalCounts, PyramidIndex,
-    ShardChain, ShardSchedule,
+    init_board, Chain, CheckpointState, InferConfig, InferError, MarginalCounts, PyramidIndex,
+    Schedule,
 };
 use sya_obs::{cluster as met, ConvergenceSeries, FleetView, MetricsSnapshot, NUM_CONCLIQUES};
 use sya_runtime::{Backoff, ExecContext, RunOutcome};
@@ -398,7 +397,7 @@ impl TelemetryWire {
 /// hot-path profiler totals.
 fn telemetry_payload(
     obs: &sya_obs::Obs,
-    chain: &ShardChain,
+    chain: &Chain,
     epoch: usize,
     last_delta: f64,
     retired: bool,
@@ -507,7 +506,7 @@ pub fn run_worker(
     let _ = stream.set_nodelay(true);
 
     let pyramid = PyramidIndex::build(graph, cfg.levels, cfg.cell_capacity);
-    let schedule = ShardSchedule::new(graph, &pyramid, cfg);
+    let schedule = Schedule::spatial(graph, &pyramid, cfg);
 
     let mut advertise = opts.resume;
     loop {
@@ -562,8 +561,7 @@ fn save_worker_ckpt(
     ctx: &ExecContext,
     me: usize,
     n: usize,
-    chain: &ShardChain,
-    board: &[AtomicU32],
+    chain: &Chain,
     next_epoch: usize,
     warnings: &mut Vec<String>,
     outcome: &mut RunOutcome,
@@ -572,7 +570,7 @@ fn save_worker_ckpt(
     let state = CheckpointState::Shard {
         shard: me as u64,
         of: n as u64,
-        chain: chain.chain_state(next_epoch, board),
+        chain: chain.chain_state(next_epoch),
     };
     let result = if ctx.take_checkpoint_save_failure() {
         Err("injected checkpoint save failure".to_owned())
@@ -601,7 +599,7 @@ fn run_epochs(
     graph: &FactorGraph,
     plan: &ShardPlan,
     cfg: &InferConfig,
-    schedule: &ShardSchedule,
+    schedule: &Schedule,
     opts: &WorkerOptions,
     store: Option<&CheckpointStore>,
     stream: &mut TcpStream,
@@ -615,8 +613,8 @@ fn run_epochs(
     let mut warnings = Vec::new();
     let mut outcome = RunOutcome::Completed;
 
-    let mut chain = ShardChain::new(graph, schedule, cfg, plan.owned[me].clone());
-    let board: Vec<AtomicU32> = if start_epoch > 0 {
+    let mut resumed = None;
+    let board = if start_epoch > 0 {
         let store = store.ok_or_else(|| {
             format!("shard {me}: welcomed at epoch {start_epoch} without a checkpoint store")
         })?;
@@ -631,13 +629,18 @@ fn run_epochs(
                 "shard {me}: checkpoint at {start_epoch} belongs to shard {shard}/{of}"
             ));
         }
-        let (_, assignment, _, counts, recorded) =
+        let (_, assignment, counts, recorded) =
             saved.restore(graph).map_err(|e| format!("shard {me}: restore: {e}"))?;
-        chain.resume_counts(counts, recorded);
-        assignment.into_iter().map(AtomicU32::new).collect()
+        resumed = Some((counts, recorded));
+        assignment
     } else {
-        init_board(graph, cfg.seed)
+        init_board(graph, cfg.seed, None)
     };
+    let mut chain = Chain::new(graph, schedule, cfg.seed, plan.owned[me].clone(), board)
+        .map_err(|e| format!("shard {me}: {e}"))?;
+    if let Some((counts, recorded)) = resumed {
+        chain.resume_counts(counts, recorded);
+    }
     if opts.retire.is_some() {
         let exposed: Vec<u32> = (0..n)
             .filter(|&s| s != me)
@@ -665,7 +668,7 @@ fn run_epochs(
         let active = retired_at.is_none();
         for phase in 0..schedule.len() {
             if active {
-                chain.sample_phase(&board, schedule, phase, epoch, record);
+                chain.sample_phase(phase, epoch);
             }
             if phase == 0 {
                 if let Some(pause) = ctx.take_worker_stall(me, epoch) {
@@ -679,21 +682,14 @@ fn run_epochs(
             let writes: Vec<(u32, u32)> = chain.pending_writes().to_vec();
             write_frame(stream, &Frame::Publish { epoch: epoch as u64, phase: phase as u32, writes })
                 .map_err(|e| format!("shard {me}: publish e{epoch} p{phase}: {e}"))?;
-            if active {
-                chain.publish(&board);
-            }
+            chain.publish(record);
             loop {
                 match read_frame(stream)
                     .map_err(|e| format!("shard {me}: awaiting halo e{epoch} p{phase}: {e}"))?
                 {
-                    Frame::Halo { writes, .. } => {
-                        let prof = sya_obs::profile::start();
-                        for (v, x) in writes {
-                            if plan.owner[v as usize] as usize != me {
-                                board[v as usize].store(x, Ordering::Relaxed);
-                            }
-                        }
-                        sya_obs::profile::stop(sya_obs::profile::Site::HaloApply, prof);
+                    Frame::Halo { mut writes, .. } => {
+                        writes.retain(|&(v, _)| plan.owner[v as usize] as usize != me);
+                        chain.apply_halo(&writes);
                         break;
                     }
                     Frame::ShardLost { shard } => warnings.push(format!(
@@ -712,7 +708,7 @@ fn run_epochs(
         }
         if active {
             epochs_sampled += 1;
-            let delta = chain.end_epoch(&board, record);
+            let delta = chain.end_epoch(record);
             last_delta = delta;
             if let (Some(policy), Some(floor)) = (opts.retire, retire_floor) {
                 if record && epoch >= floor && delta < policy.tol {
@@ -782,31 +778,27 @@ fn run_epochs(
             && epoch < epochs_total
             && epoch.is_multiple_of(opts.ckpt.every)
         {
-            save_worker_ckpt(
-                store, ctx, me, n, &chain, &board, epoch, &mut warnings, &mut outcome,
-            );
+            save_worker_ckpt(store, ctx, me, n, &chain, epoch, &mut warnings, &mut outcome);
         }
     }
-    save_worker_ckpt(store, ctx, me, n, &chain, &board, epoch, &mut warnings, &mut outcome);
+    save_worker_ckpt(store, ctx, me, n, &chain, epoch, &mut warnings, &mut outcome);
     if strict_refusals > 0 {
         warnings.push(format!(
             "shard {me}: strict retirement gating refused {strict_refusals} retirement \
              attempt(s) on boundary drift"
         ));
     }
-    if !chain.has_recorded() {
-        chain.record_board_snapshot(&board);
+    if chain.snapshot_if_unrecorded() {
         warnings.push(format!(
             "shard {me}: run ended before burn-in; marginals from a single snapshot"
         ));
         outcome = outcome.combine(RunOutcome::Degraded);
     }
-    let owned_vars = chain.owned_vars();
     let (counts, series) = chain.finish();
     let report = DoneReport {
         stats: ShardStats {
             shard: me,
-            owned_vars,
+            owned_vars: plan.owned[me].len(),
             halo_vars: plan.interface.halo[me].len(),
             boundary_factors: plan.interface.boundary_per_shard[me],
             halo_bytes: plan.interface.halo_bytes(me),
@@ -1474,7 +1466,7 @@ impl<'a> Supervisor<'a> {
         let newest = *epochs.last()?;
         let state = store.load_epoch(newest).ok()?;
         let CheckpointState::Shard { chain, .. } = state else { return None };
-        let (_, _, _, counts, _) = chain.restore(self.graph).ok()?;
+        let (_, _, counts, _) = chain.restore(self.graph).ok()?;
         Some((counts, newest))
     }
 

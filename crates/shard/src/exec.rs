@@ -4,16 +4,18 @@
 //! ## Halo exchange at epoch barriers
 //!
 //! Every epoch follows the global phase schedule
-//! ([`ShardSchedule`](sya_infer::ShardSchedule)). Within a phase each
-//! shard samples only variables it owns, reading neighbour states —
-//! owned and halo alike — from the board as frozen at the phase start,
-//! and buffering its writes. A barrier ends the sampling half; then
-//! every shard publishes its buffered writes (the halo exchange: the
-//! publish is what makes a shard's new states visible as its
-//! neighbours' halos) and a second barrier opens the next phase. Because
-//! draws use per-`(seed, epoch, variable)` derived RNG streams and all
-//! conditionals see the same frozen board, the merged marginals are
-//! bit-identical for every shard count.
+//! ([`Schedule::spatial`](sya_infer::Schedule::spatial)) and every shard
+//! steps a [`Chain`](sya_infer::Chain) — the phase-step API of the one
+//! Gibbs kernel — over its own copy of the board. Within a phase each
+//! shard sweeps only the units (cells) it owns, reading neighbour
+//! states — owned and halo alike — as frozen at the phase start, and
+//! logging its draws. A barrier ends the sampling half; then every shard
+//! lands the other shards' draws on its board (the halo exchange) and
+//! publishes its own, and a second barrier opens the next phase. Because
+//! draws use per-`(seed, epoch, phase, variable)` derived RNG streams
+//! and a unit is swept by exactly one owner, the merged marginals are
+//! bit-identical for every shard count — and to the unsharded
+//! `spatial_gibbs_with` at `instances: 1`.
 //!
 //! ## Retirement (convergence-based early stop)
 //!
@@ -36,12 +38,12 @@ use crate::plan::ShardPlan;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, PoisonError, RwLock};
 use sya_ckpt::CheckpointStore;
 use sya_fg::FactorGraph;
 use sya_infer::{
-    init_board, pseudo_log_likelihood, ChainState, CheckpointState, InferConfig, InferError,
-    MarginalCounts, PyramidIndex, ShardChain, ShardSchedule,
+    init_board, pseudo_log_likelihood, Chain, ChainState, CheckpointState, InferConfig,
+    InferError, MarginalCounts, PyramidIndex, Schedule,
 };
 use sya_obs::{pll_stride, ConvergenceSeries, Obs};
 use sya_runtime::{ExecContext, Phase, RunOutcome};
@@ -348,7 +350,8 @@ pub(crate) fn publish_static_gauges(obs: &Obs, plan: &ShardPlan) {
 /// Runs sharded Spatial Gibbs: one thread per shard of `plan`, halo
 /// exchange at phase barriers, optional retirement and per-shard
 /// checkpoints. With `retire: None` the merged counts are bit-identical
-/// for every shard count (including 1).
+/// for every shard count (including 1). `Err(SplitUnit)` when the plan
+/// cuts through a sweep cell.
 pub fn run_sharded(
     graph: &FactorGraph,
     pyramid: &PyramidIndex,
@@ -367,39 +370,34 @@ pub fn run_sharded(
     let mut warnings = Vec::new();
     let (stores, resume) = prepare_shard_ckpt(graph, plan, ckpt, &mut warnings)?;
 
-    let schedule = ShardSchedule::new(graph, pyramid, cfg);
+    let schedule = Schedule::spatial(graph, pyramid, cfg);
     obs.gauge_set("shard.phases", schedule.len() as f64);
 
     let (start_epoch, board, resumed_chains) = match resume {
         Some((epoch, chains)) => {
             let mut restored = Vec::with_capacity(n);
-            let mut board = None;
+            let mut board = Vec::new();
             for c in chains {
-                let (_, assignment, _, counts, recorded) = c
-                    .restore(graph)
-                    .map_err(|detail| InferError::BadResume { detail })?;
-                if board.is_none() {
-                    board = Some(
-                        assignment.iter().map(|&x| AtomicU32::new(x)).collect::<Vec<_>>(),
-                    );
-                }
+                let (_, assignment, counts, recorded) =
+                    c.restore(graph).map_err(|detail| InferError::BadResume { detail })?;
+                // Shards run in lockstep: every chain of the set holds
+                // the same board.
+                board = assignment;
                 restored.push(Some((counts, recorded)));
             }
             warnings.push(format!("resumed all {n} shards from epoch {epoch}"));
-            (epoch, board.unwrap(), restored)
+            (epoch, board, restored)
         }
-        None => (0, init_board(graph, cfg.seed), (0..n).map(|_| None).collect()),
+        None => (0, init_board(graph, cfg.seed, None), (0..n).map(|_| None).collect()),
     };
 
-    let mut chains: Vec<ShardChain> = plan
-        .owned
-        .iter()
-        .map(|o| ShardChain::new(graph, &schedule, cfg, o.clone()))
-        .collect();
-    for (chain, restored) in chains.iter_mut().zip(resumed_chains) {
+    let mut chains = Vec::with_capacity(n);
+    for (owned, restored) in plan.owned.iter().zip(resumed_chains) {
+        let mut chain = Chain::new(graph, &schedule, cfg.seed, owned.clone(), board.clone())?;
         if let Some((counts, recorded)) = restored {
             chain.resume_counts(counts, recorded);
         }
+        chains.push(chain);
     }
     if retire.is_some() {
         // Boundary-exposed set of shard i: its owned variables that some
@@ -414,6 +412,9 @@ pub fn run_sharded(
     }
 
     let barrier = Barrier::new(n);
+    // Per shard: the draws of the phase in flight, posted for the other
+    // shards to land on their boards.
+    let posted: Vec<RwLock<Vec<(u32, u32)>>> = (0..n).map(|_| RwLock::default()).collect();
     let stop = AtomicU32::new(0);
     let retired = AtomicUsize::new(0);
     let retire_floor = retire.map(|p| p.min_epoch.max(burn));
@@ -426,7 +427,7 @@ pub fn run_sharded(
             let stop = &stop;
             let retired = &retired;
             let schedule = &schedule;
-            let board = &board;
+            let posted = &posted;
             let store = store.as_ref();
             handles.push(scope.spawn(move || {
                 let mut outcome = RunOutcome::Completed;
@@ -438,7 +439,7 @@ pub fn run_sharded(
                 let mut streak = 0usize;
                 let mut epochs_sampled = 0usize;
                 let mut epoch = start_epoch;
-                let save = |chain: &ShardChain,
+                let save = |chain: &Chain,
                             next_epoch: usize,
                             warnings: &mut Vec<String>,
                             outcome: &mut RunOutcome| {
@@ -446,7 +447,7 @@ pub fn run_sharded(
                     let state = CheckpointState::Shard {
                         shard: i as u64,
                         of: n as u64,
-                        chain: chain.chain_state(next_epoch, board),
+                        chain: chain.chain_state(next_epoch),
                     };
                     let result = if ctx.take_checkpoint_save_failure() {
                         Err("injected checkpoint save failure".to_owned())
@@ -476,17 +477,24 @@ pub fn run_sharded(
                     let active = retired_at.is_none();
                     for phase in 0..schedule.len() {
                         if active {
-                            chain.sample_phase(board, schedule, phase, epoch, record);
+                            chain.sample_phase(phase, epoch);
+                        }
+                        {
+                            let mut mine =
+                                posted[i].write().unwrap_or_else(PoisonError::into_inner);
+                            mine.clear();
+                            mine.extend_from_slice(chain.pending_writes());
                         }
                         barrier.wait();
-                        if active {
-                            chain.publish(board);
+                        for (_, theirs) in posted.iter().enumerate().filter(|(j, _)| *j != i) {
+                            chain.apply_halo(&theirs.read().unwrap_or_else(PoisonError::into_inner));
                         }
+                        chain.publish(record);
                         barrier.wait();
                     }
                     if active {
                         epochs_sampled += 1;
-                        let delta = chain.end_epoch(board, record);
+                        let delta = chain.end_epoch(record);
                         if let (Some(policy), Some(floor)) = (retire, retire_floor) {
                             if record && epoch >= floor && delta < policy.tol {
                                 if streak == 0 {
@@ -523,9 +531,8 @@ pub fn run_sharded(
                             }
                         }
                         if i == 0 && ctx.obs().is_enabled() && epoch.is_multiple_of(stride) {
-                            let snapshot: Vec<u32> =
-                                board.iter().map(|a| a.load(Ordering::Relaxed)).collect();
-                            chain.record_pll(epoch, pseudo_log_likelihood(graph, &snapshot));
+                            let pll = pseudo_log_likelihood(graph, &chain.board().to_vec());
+                            chain.record_pll(epoch, pll);
                         }
                     }
                     barrier.wait();
@@ -542,8 +549,7 @@ pub fn run_sharded(
                     }
                 }
                 save(&chain, epoch, &mut shard_warnings, &mut outcome);
-                if !chain.has_recorded() {
-                    chain.record_board_snapshot(board);
+                if chain.snapshot_if_unrecorded() {
                     shard_warnings.push(format!(
                         "shard {i}: run ended before burn-in; marginals from a single snapshot"
                     ));
@@ -555,12 +561,11 @@ pub fn run_sharded(
                          retirement attempt(s) on boundary drift"
                     ));
                 }
-                let owned_vars = chain.owned_vars();
                 let (counts, series) = chain.finish();
                 ShardLocal {
                     stats: ShardStats {
                         shard: i,
-                        owned_vars,
+                        owned_vars: plan.owned[i].len(),
                         halo_vars: plan.interface.halo[i].len(),
                         boundary_factors: plan.interface.boundary_per_shard[i],
                         halo_bytes: plan.interface.halo_bytes(i),

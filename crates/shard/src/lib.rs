@@ -8,19 +8,24 @@
 //!   balanced by variable count; every factor is classified interior or
 //!   *boundary* and every variable is, per shard, owned or a *halo*
 //!   (read-only replica of a neighbour's variable);
-//! * [`exec`] — per-shard `SpatialGibbs` chains on their own threads
-//!   over a shared assignment board, synchronizing halo state at
-//!   phase/epoch barriers (block-Gibbs halo exchange), with per-shard
+//! * [`exec`] — per-shard [`Chain`](sya_infer::Chain)s (the phase-step
+//!   API of the one Gibbs kernel) on their own threads, each over its
+//!   own board copy, exchanging halo state at phase barriers, with
+//!   per-shard
 //!   `sya-ckpt` checkpoint stores tied together by a manifest, per-shard
 //!   `sya-obs` gauges (`shard.N.vars`, `shard.N.boundary_factors`,
 //!   `shard.N.halo_bytes`) and flip-rate series, and an optional
 //!   convergence-based retirement policy that lets quiet shards stop
 //!   sampling early.
 //!
-//! The executor's draws use RNG streams derived from `(seed, epoch,
-//! variable)` and Jacobi-style frozen-board phases, so without
-//! retirement the merged marginals are **bit-identical for every shard
-//! count** — `sya run --shards 4` equals `--shards 1` exactly.
+//! A shard is an ownership filter over the sweep schedule's units: the
+//! draws use RNG streams derived from `(seed, epoch, phase, variable)`
+//! and every cell is swept by exactly one owner against the phase-start
+//! board, so without retirement the merged marginals are
+//! **bit-identical for every shard count** — `sya run --shards 4`
+//! equals `--shards 1` equals the unsharded single-instance run. A plan
+//! that would split a sweep cell between owners is refused
+//! (`InferError::SplitUnit`), never sampled differently.
 //! The serving router that maps queries and evidence to owning shards
 //! lives in `sya-serve`.
 
@@ -287,45 +292,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Exact marginals by enumeration over free binary variables.
-    fn exact_marginals(g: &FactorGraph) -> Vec<f64> {
-        let free: Vec<VarId> = g.query_variables();
-        let mut base: Vec<u32> = g
-            .variables()
-            .iter()
-            .map(|v| v.evidence.unwrap_or(0))
-            .collect();
-        let mut mass = vec![0.0; g.num_variables()];
-        let mut z = 0.0;
-        for bits in 0..(1u32 << free.len()) {
-            for (i, &v) in free.iter().enumerate() {
-                base[v as usize] = (bits >> i) & 1;
-            }
-            let w = sya_fg::log_prob_unnormalized(g, &base).exp();
-            z += w;
-            for &v in &free {
-                if base[v as usize] == 1 {
-                    mass[v as usize] += w;
-                }
-            }
-        }
-        mass.iter().map(|m| m / z).collect()
-    }
-
     #[test]
-    fn sharded_marginals_converge_to_the_exact_distribution() {
-        // The bitwise tests pin shard counts to each other; this pins
-        // the whole construction to the model it is supposed to sample.
-        let g = grid(3, true);
-        let exact = exact_marginals(&g);
-        let mut cfg = cfg(8000);
-        cfg.seed = 5;
-        let report = run(&g, &cfg, 2);
-        let max_delta = g
-            .query_variables()
-            .into_iter()
-            .map(|v| (report.counts.factual_score(v) - exact[v as usize]).abs())
-            .fold(0.0, f64::max);
-        assert!(max_delta < 0.05, "sharded vs exact marginal delta {max_delta}");
+    fn a_plan_that_splits_a_sweep_cell_is_refused() {
+        // Partition at level 2 (16 single-variable cells) but sweep at
+        // level 1 (4 cells of 4): two shards would share a sweep cell.
+        let g = grid(4, true);
+        let cfg = InferConfig { levels: 1, locality_level: 1, ..cfg(20) };
+        let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
+        let plan = ShardPlan::build(&g, &pyramid_cell_map(&g, 2), 3, 2);
+        let err = run_sharded(
+            &g,
+            &pyramid,
+            &plan,
+            &cfg,
+            None,
+            &ShardCkptOptions::default(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, sya_infer::InferError::SplitUnit { .. }), "{err}");
     }
 }

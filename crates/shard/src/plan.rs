@@ -6,8 +6,9 @@
 //! sorted run into `N` contiguous groups balanced by variable count.
 //! Contiguity keeps each shard's footprint compact, which is what keeps
 //! the boundary-factor count — and therefore the halo — small.
-//! Unlocated variables carry no spatial signal, so they are dealt
-//! round-robin.
+//! Unlocated variables carry no spatial signal; the sampler sweeps them
+//! as one sequential unit, and a unit has one owner, so they all go to
+//! the lightest shard.
 
 use serde::Serialize;
 use sya_fg::{FactorGraph, ShardInterface, VarId};
@@ -68,13 +69,15 @@ impl ShardPlan {
             remaining -= vars.len();
         }
 
-        // Unlocated variables (absent from the cell map): round-robin.
-        let mut rr = 0usize;
-        for o in owner.iter_mut() {
-            if *o == u32::MAX {
-                *o = (rr % shards) as u32;
-                rr += 1;
-            }
+        // Unlocated variables (absent from the cell map): one sweep
+        // unit, so one owner — the shard with the fewest located ones.
+        let mut load = vec![0usize; shards];
+        for &o in owner.iter().filter(|&&o| o != u32::MAX) {
+            load[o as usize] += 1;
+        }
+        let lightest = (0..shards).min_by_key(|&s| load[s]).unwrap_or(0) as u32;
+        for o in owner.iter_mut().filter(|o| **o == u32::MAX) {
+            *o = lightest;
         }
 
         let mut owned: Vec<Vec<VarId>> = vec![Vec::new(); shards];
@@ -159,6 +162,8 @@ mod tests {
             let total: usize = plan.owned.iter().map(Vec::len).sum();
             assert_eq!(total, g.num_variables(), "shards={shards}");
             // Ownership classes are disjoint by construction of `owner`.
+            // The two unlocated variables form one sweep unit: one owner.
+            assert_eq!(plan.owner[16], plan.owner[17], "shards={shards}");
         }
     }
 

@@ -96,12 +96,14 @@ fn main() {
         // The session still compiles the corrupted program; transplant the
         // learned weights by re-running inference on the updated graph.
         let pyramid = sya_infer::PyramidIndex::build(&kb.grounding.graph, 8, 64);
-        let counts = sya_infer::spatial_gibbs(
+        let run = sya_infer::spatial_gibbs_with(
             &kb.grounding.graph,
             &pyramid,
             &kb.config.infer,
-        );
-        kb.counts = counts;
+            &sya::ExecContext::unbounded(),
+        )
+        .expect("inference runs");
+        kb.counts = run.counts;
         let _ = &mut db;
         &kb
     };

@@ -34,8 +34,8 @@
 //!   --resume                  resume from the newest valid checkpoint
 //!                             in --checkpoint-dir; damaged checkpoints
 //!                             are skipped for older good ones
-//!   --workers N               cell-worker threads per conclique group
-//!                             (1 makes the sya engine deterministic)
+//!   --workers N               thread cap for the sampler's lanes (the
+//!                             scores never depend on it)
 //!   --shards N                cut the KB into N spatial shards, one
 //!                             sampler thread each (sya engine only);
 //!                             merged scores match --shards 1 exactly

@@ -1,7 +1,8 @@
 //! Crash/recovery integration tests for the checkpoint subsystem
-//! (DESIGN.md §10): deterministic resume for all three samplers,
-//! corruption fallback, fault-injected save failures, and a real
-//! process-kill harness over the `sya` binary.
+//! (DESIGN.md §10): deterministic resume for every schedule of the one
+//! Gibbs driver at any worker count, corruption fallback,
+//! fault-injected save failures, and a real process-kill harness over
+//! the `sya` binary.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -9,8 +10,8 @@ use sya_ckpt::CheckpointStore;
 use sya_fg::{Factor, FactorGraph, FactorKind, SpatialFactor, Variable};
 use sya_geom::Point;
 use sya_infer::{
-    parallel_random_gibbs_ckpt, sequential_gibbs_ckpt, spatial_gibbs_ckpt, CheckpointOptions,
-    CheckpointSink, CheckpointState, InferConfig, PyramidIndex,
+    run_gibbs, ChainState, CheckpointOptions, CheckpointSink, CheckpointState, InferConfig,
+    PyramidIndex, SamplerRun, Schedule,
 };
 use sya_runtime::{CancellationToken, ExecContext, FaultPlan, RunBudget, RunOutcome};
 
@@ -22,6 +23,39 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 fn ctx() -> ExecContext {
     ExecContext::new(RunBudget::unlimited())
+}
+
+/// A single-instance run configuration.
+fn single(epochs: usize, burn_in: usize, seed: u64) -> InferConfig {
+    InferConfig { epochs, burn_in, seed, instances: 1, ..Default::default() }
+}
+
+/// One driver run of `schedule`.
+fn run(
+    graph: &FactorGraph,
+    schedule: &Schedule,
+    cfg: &InferConfig,
+    ctx: &ExecContext,
+    ckpt: CheckpointOptions<'_>,
+    resume: Option<Vec<ChainState>>,
+) -> SamplerRun {
+    run_gibbs(graph, schedule, cfg, None, ctx, ckpt, resume).unwrap()
+}
+
+/// The newest valid checkpoint's chains, checked to come from `kind`.
+fn recovered_chains(
+    store: &CheckpointStore,
+    graph: &FactorGraph,
+    instances: usize,
+    kind: &str,
+) -> Vec<ChainState> {
+    let rec = store.recover(|s| s.validate_for(graph, instances)).unwrap();
+    let (_, state) = rec.state.expect("an interrupted run leaves a checkpoint");
+    assert_eq!(state.kind(), kind);
+    let CheckpointState::Run { chains, .. } = state else {
+        panic!("a driver run must write run checkpoints")
+    };
+    chains
 }
 
 /// A located grid of binary variables with chain factors and vertical
@@ -69,161 +103,69 @@ impl CheckpointSink for CancelAt<'_> {
 }
 
 #[test]
-fn sequential_resume_is_identical_to_uninterrupted() {
+fn sequential_and_parallel_resume_are_identical_to_uninterrupted() {
     let graph = grid_graph(24);
-    let (epochs, burn, seed) = (40, 4, 11);
-    let reference =
-        sequential_gibbs_ckpt(&graph, epochs, burn, seed, &ctx(), CheckpointOptions::none(), None)
-            .unwrap();
+    for (schedule, spec) in [
+        (Schedule::sequential(&graph), single(40, 4, 11)),
+        (Schedule::random_buckets(&graph, 3, 21), single(40, 4, 21)),
+    ] {
+        let spec = &spec;
+        let reference = run(&graph, &schedule, spec, &ctx(), CheckpointOptions::none(), None);
+        // Interrupt at several different epochs: wherever the run dies,
+        // the resumed chain must land on the exact same counts.
+        for cancel_at in [3u64, 7, 13, 29] {
+            let dir = tmp_dir(&format!("{}_{cancel_at}", schedule.kind));
+            let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
+            let token = CancellationToken::new();
+            let sink = CancelAt { store: &store, token: &token, at_epoch: cancel_at };
+            let run_ctx = ExecContext::new(RunBudget::unlimited()).with_token(token.clone());
+            let every_epoch = CheckpointOptions::to_sink(&sink, 1);
+            let partial = run(&graph, &schedule, spec, &run_ctx, every_epoch, None);
+            assert!(!partial.outcome.is_completed(), "cancel at {cancel_at} must interrupt");
 
-    // Interrupt at several different epochs: wherever the run dies, the
-    // resumed chain must land on the exact same counts.
-    for cancel_at in [3u64, 7, 13, 29] {
-        let dir = tmp_dir(&format!("seq_{cancel_at}"));
-        let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
-        let token = CancellationToken::new();
-        let sink = CancelAt { store: &store, token: &token, at_epoch: cancel_at };
-        let run_ctx = ExecContext::new(RunBudget::unlimited()).with_token(token.clone());
-        let partial = sequential_gibbs_ckpt(
-            &graph,
-            epochs,
-            burn,
-            seed,
-            &run_ctx,
-            CheckpointOptions::to_sink(&sink, 1),
-            None,
-        )
-        .unwrap();
-        assert!(!partial.outcome.is_completed(), "cancel at {cancel_at} must interrupt");
-
-        let rec = store.recover(|s| s.validate_for(&graph, 1)).unwrap();
-        let (_, state) = rec.state.expect("an interrupted run leaves a checkpoint");
-        let CheckpointState::Sequential(chain) = state else {
-            panic!("sequential run must write sequential checkpoints")
-        };
-        let resumed = sequential_gibbs_ckpt(
-            &graph,
-            epochs,
-            burn,
-            seed,
-            &ctx(),
-            CheckpointOptions::none(),
-            Some(chain),
-        )
-        .unwrap();
-        assert_eq!(
-            resumed.counts.to_rows(),
-            reference.counts.to_rows(),
-            "resume after cancel at {cancel_at} diverged"
-        );
-        fs::remove_dir_all(&dir).ok();
+            let chains = recovered_chains(&store, &graph, 1, schedule.kind);
+            let resumed =
+                run(&graph, &schedule, spec, &ctx(), CheckpointOptions::none(), Some(chains));
+            assert_eq!(
+                resumed.counts.to_rows(),
+                reference.counts.to_rows(),
+                "{} resume after cancel at {cancel_at} diverged",
+                schedule.kind
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
 #[test]
-fn parallel_resume_is_identical_to_uninterrupted() {
-    let graph = grid_graph(24);
-    let (epochs, burn, k, seed) = (40, 4, 3, 21);
-    let reference = parallel_random_gibbs_ckpt(
-        &graph,
-        epochs,
-        burn,
-        k,
-        seed,
-        &ctx(),
-        CheckpointOptions::none(),
-        None,
-    )
-    .unwrap();
-
-    for cancel_at in [4u64, 17] {
-        let dir = tmp_dir(&format!("par_{cancel_at}"));
-        let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
-        let token = CancellationToken::new();
-        let sink = CancelAt { store: &store, token: &token, at_epoch: cancel_at };
-        let run_ctx = ExecContext::new(RunBudget::unlimited()).with_token(token.clone());
-        let partial = parallel_random_gibbs_ckpt(
-            &graph,
-            epochs,
-            burn,
-            k,
-            seed,
-            &run_ctx,
-            CheckpointOptions::to_sink(&sink, 1),
-            None,
-        )
-        .unwrap();
-        assert!(!partial.outcome.is_completed());
-
-        let rec = store.recover(|s| s.validate_for(&graph, 1)).unwrap();
-        let (_, CheckpointState::Parallel(chain)) = rec.state.unwrap() else {
-            panic!("parallel run must write parallel checkpoints")
-        };
-        let resumed = parallel_random_gibbs_ckpt(
-            &graph,
-            epochs,
-            burn,
-            k,
-            seed,
-            &ctx(),
-            CheckpointOptions::none(),
-            Some(chain),
-        )
-        .unwrap();
-        assert_eq!(resumed.counts.to_rows(), reference.counts.to_rows());
-        fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn spatial_resume_is_identical_to_uninterrupted() {
+fn spatial_resume_is_identical_to_uninterrupted_at_any_worker_count() {
     let graph = grid_graph(36);
-    // `workers: 1` keeps the cell sweeps deterministic; two instances
-    // exercise the all-K checkpoint aggregation.
-    let cfg = InferConfig {
-        epochs: 40,
-        burn_in: 4,
-        instances: 2,
-        workers: Some(1),
-        seed: 5,
-        ..Default::default()
-    };
-    let pyramid = PyramidIndex::build(&graph, cfg.levels, cfg.cell_capacity);
-    let reference =
-        spatial_gibbs_ckpt(&graph, &pyramid, &cfg, &ctx(), CheckpointOptions::none(), None)
-            .unwrap();
+    // Three instances over 40 epochs: the remainder epoch and the
+    // lockstep checkpoint of all instances are both exercised.
+    let base = InferConfig { epochs: 40, burn_in: 4, instances: 3, seed: 5, ..Default::default() };
+    let pyramid = PyramidIndex::build(&graph, base.levels, base.cell_capacity);
+    let schedule = Schedule::spatial(&graph, &pyramid, &base);
+    let reference = run(&graph, &schedule, &base, &ctx(), CheckpointOptions::none(), None);
 
-    for cancel_at in [2u64, 6] {
+    // The interrupted leg and the resumed leg run at different worker
+    // counts: neither may show in the counts.
+    for (cancel_at, first, second) in [(2u64, None, Some(2)), (6, Some(2), Some(4)), (9, Some(3), None)]
+    {
         let dir = tmp_dir(&format!("spatial_{cancel_at}"));
         let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
         let token = CancellationToken::new();
         let sink = CancelAt { store: &store, token: &token, at_epoch: cancel_at };
         let run_ctx = ExecContext::new(RunBudget::unlimited()).with_token(token.clone());
-        let partial = spatial_gibbs_ckpt(
-            &graph,
-            &pyramid,
-            &cfg,
-            &run_ctx,
-            CheckpointOptions::to_sink(&sink, 1),
-            None,
-        )
-        .unwrap();
+        let cfg = InferConfig { workers: first, ..base.clone() };
+        let every_epoch = CheckpointOptions::to_sink(&sink, 1);
+        let partial = run(&graph, &schedule, &cfg, &run_ctx, every_epoch, None);
         assert!(!partial.outcome.is_completed());
 
-        let rec = store.recover(|s| s.validate_for(&graph, 2)).unwrap();
-        let (_, CheckpointState::Spatial { instances }) = rec.state.unwrap() else {
-            panic!("spatial run must write spatial checkpoints")
-        };
-        assert_eq!(instances.len(), 2);
-        let resumed = spatial_gibbs_ckpt(
-            &graph,
-            &pyramid,
-            &cfg,
-            &ctx(),
-            CheckpointOptions::none(),
-            Some(instances),
-        )
-        .unwrap();
+        let chains = recovered_chains(&store, &graph, 3, "spatial");
+        assert_eq!(chains.len(), 3);
+        let cfg = InferConfig { workers: second, ..base.clone() };
+        let resumed =
+            run(&graph, &schedule, &cfg, &ctx(), CheckpointOptions::none(), Some(chains));
         assert_eq!(
             resumed.counts.to_rows(),
             reference.counts.to_rows(),
@@ -239,16 +181,9 @@ fn corrupted_checkpoints_fall_back_to_an_older_good_one() {
     let (epochs, burn, seed) = (40, 4, 9);
     let dir = tmp_dir("fallback");
     let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
-    let full = sequential_gibbs_ckpt(
-        &graph,
-        epochs,
-        burn,
-        seed,
-        &ctx(),
-        CheckpointOptions::to_sink(&store, 5),
-        None,
-    )
-    .unwrap();
+    let schedule = Schedule::sequential(&graph);
+    let spec = &single(epochs, burn, seed);
+    let full = run(&graph, &schedule, spec, &ctx(), CheckpointOptions::to_sink(&store, 5), None);
     assert!(full.outcome.is_completed());
 
     // keep=3 leaves epochs 30, 35, 40. Truncate the newest and bit-flip
@@ -267,21 +202,12 @@ fn corrupted_checkpoints_fall_back_to_an_older_good_one() {
 
     let rec = store.recover(|s| s.validate_for(&graph, 1)).unwrap();
     assert_eq!(rec.skipped.len(), 2, "{:?}", rec.skipped);
-    let (path, CheckpointState::Sequential(chain)) = rec.state.unwrap() else {
+    let (path, CheckpointState::Run { chains, .. }) = rec.state.unwrap() else {
         panic!("expected the surviving sequential checkpoint")
     };
     assert!(path.to_string_lossy().contains("0000000030"), "{path:?}");
-    assert_eq!(chain.epoch, 30);
-    let resumed = sequential_gibbs_ckpt(
-        &graph,
-        epochs,
-        burn,
-        seed,
-        &ctx(),
-        CheckpointOptions::none(),
-        Some(chain),
-    )
-    .unwrap();
+    assert_eq!(chains[0].epoch, 30);
+    let resumed = run(&graph, &schedule, spec, &ctx(), CheckpointOptions::none(), Some(chains));
     assert_eq!(resumed.counts.to_rows(), full.counts.to_rows());
     fs::remove_dir_all(&dir).ok();
 }
@@ -291,16 +217,9 @@ fn checkpoints_from_a_different_graph_are_skipped() {
     let graph = grid_graph(24);
     let dir = tmp_dir("foreign");
     let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
-    sequential_gibbs_ckpt(
-        &graph,
-        20,
-        2,
-        3,
-        &ctx(),
-        CheckpointOptions::to_sink(&store, 10),
-        None,
-    )
-    .unwrap();
+    let schedule = Schedule::sequential(&graph);
+    let spec = single(20, 2, 3);
+    run(&graph, &schedule, &spec, &ctx(), CheckpointOptions::to_sink(&store, 10), None);
     assert!(!store.list().unwrap().is_empty());
 
     // The same directory opened for a structurally different graph: every
@@ -325,24 +244,15 @@ fn checkpoints_from_a_different_graph_are_skipped() {
 fn failed_checkpoint_saves_degrade_without_changing_the_marginals() {
     let graph = grid_graph(24);
     let (epochs, burn, seed) = (40, 4, 13);
-    let reference =
-        sequential_gibbs_ckpt(&graph, epochs, burn, seed, &ctx(), CheckpointOptions::none(), None)
-            .unwrap();
+    let schedule = Schedule::sequential(&graph);
+    let spec = &single(epochs, burn, seed);
+    let reference = run(&graph, &schedule, spec, &ctx(), CheckpointOptions::none(), None);
 
     let dir = tmp_dir("faulty");
     let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
     let faults = FaultPlan { fail_checkpoint_saves: 2, ..Default::default() };
     let run_ctx = ExecContext::new(RunBudget::unlimited()).with_faults(faults);
-    let run = sequential_gibbs_ckpt(
-        &graph,
-        epochs,
-        burn,
-        seed,
-        &run_ctx,
-        CheckpointOptions::to_sink(&store, 5),
-        None,
-    )
-    .unwrap();
+    let run = run(&graph, &schedule, spec, &run_ctx, CheckpointOptions::to_sink(&store, 5), None);
     // The run finishes (checkpointing is durability, not correctness),
     // reports the degradation, and the later saves still landed.
     assert_eq!(run.outcome, RunOutcome::Degraded);
@@ -388,8 +298,6 @@ fn sya_run_args(program: &Path, wells: &Path, evidence: &Path, output: &Path) ->
         &format!("Well={}", wells.display()),
         "--evidence",
         evidence.to_str().unwrap(),
-        "--engine",
-        "deepdive",
         "--epochs",
         "4000",
         "--seed",

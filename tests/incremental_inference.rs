@@ -127,11 +127,12 @@ fn local_update_resamples_a_strict_subset_of_query_variables() {
     // affected cells' free variables only: the changed atom itself is
     // evidence now, so it is conditioned on, never resampled.
     let changed = [v];
-    let (_, set) = sya_infer::incremental_spatial_gibbs_observed(
+    let (_, set) = sya_infer::incremental_spatial_gibbs(
         &kb.grounding.graph,
         kb.pyramid.as_ref().unwrap(),
         &changed,
         &kb.config.infer,
+        None,
         &sya_obs::Obs::disabled(),
     );
     assert!(!set.is_empty());

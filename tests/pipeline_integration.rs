@@ -248,10 +248,30 @@ fn categorical_domains_run_end_to_end() {
 fn deterministic_given_seed() {
     let dataset = gwdb_dataset(&GwdbConfig { n_wells: 150, ..Default::default() });
     let mut cfg = gwdb_config(true).with_epochs(100);
-    cfg.infer.instances = 1; // single instance: fully deterministic
+    cfg.infer.instances = 1;
     let a = build(&dataset, cfg.clone());
     let b = build(&dataset, cfg);
     assert_eq!(a.query_scores_by_id("IsSafe"), b.query_scores_by_id("IsSafe"));
+}
+
+/// The determinism contract: same seed ⇒ same counts on any worker
+/// count and for any number of instance chains per thread.
+#[test]
+fn counts_are_identical_across_worker_and_instance_counts() {
+    let dataset = gwdb_dataset(&GwdbConfig { n_wells: 150, ..Default::default() });
+    for instances in [1, 4] {
+        let mut cfg = gwdb_config(true).with_epochs(100);
+        cfg.infer.instances = instances;
+        let reference = build(&dataset, cfg.clone());
+        for workers in [Some(1), Some(2), Some(4)] {
+            cfg.infer.workers = workers;
+            let kb = build(&dataset, cfg.clone());
+            assert_eq!(
+                kb.counts, reference.counts,
+                "workers={workers:?} instances={instances} diverged from workers=None"
+            );
+        }
+    }
 }
 
 #[test]
