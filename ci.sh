@@ -12,6 +12,11 @@ cargo build --workspace --release
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
+# The benchmark is its own package (own workspace and lock file) that
+# compiles against the crates' public API: build and test it here, so a
+# crate API change that breaks it fails tier-1, not the acceptance run.
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
+
 # The demo dataset is generated, not committed (`demo/` is gitignored);
 # materialise it on a fresh checkout so the smokes below can run.
 if [ ! -f demo/gwdb.ddlog ]; then
@@ -285,14 +290,12 @@ echo "fleet metrics smoke: $fleet_samples fleet samples, per-shard labels and dr
 ./target/release/sampler_bench_smoke /tmp/sya_ci_bench_sampler.json
 echo "sampler hot-path smoke: BENCH_sampler.json schema valid"
 
-# Query latency baseline (DESIGN.md §16): a reduced sweep of the
+# Query latency sweep (DESIGN.md §16): a reduced sweep of the
 # demand-driven grounding bench must produce a valid sya.bench.query.v1
-# document, and the committed BENCH_query.json must keep the ≥10×
-# lazy-vs-full claim at its largest benchmarked scale.
+# document. (Speed is judged on sya-benchmark's `lazy_query` workload.)
 ./target/release/query_latency /tmp/sya_ci_bench_query.json 200 8 2> /dev/null
 ./target/release/query_bench_smoke /tmp/sya_ci_bench_query.json
-./target/release/query_bench_smoke BENCH_query.json --min-speedup 10
-echo "query bench smoke: fresh sweep valid; committed baseline holds the 10x floor"
+echo "query bench smoke: fresh sweep valid"
 
 # Overload smoke (DESIGN.md §15): a deliberately tiny serve envelope —
 # one worker, queue depth 4 — driven well past capacity by the
@@ -457,11 +460,9 @@ if ! wait "$server"; then
 fi
 echo "delta rows smoke: insert/retract round trip restored baseline marginals"
 
-# Delta throughput baseline (DESIGN.md §17): a reduced sweep of the
+# Delta throughput sweep (DESIGN.md §17): a reduced sweep of the
 # differential-maintenance bench must produce a valid sya.bench.delta.v1
-# document, and the committed BENCH_delta.json must keep the ≥10×
-# delta-vs-full-reground claim on the 960-well workload.
+# document. (Speed is judged on sya-benchmark's `serve_rows` workload.)
 ./target/release/delta_throughput /tmp/sya_ci_bench_delta.json 200 4 2> /dev/null
 ./target/release/delta_bench_smoke /tmp/sya_ci_bench_delta.json
-./target/release/delta_bench_smoke BENCH_delta.json --min-speedup 10 --max-parity 0.35
-echo "delta bench smoke: fresh sweep valid; committed baseline holds the 10x floor"
+echo "delta bench smoke: fresh sweep valid"

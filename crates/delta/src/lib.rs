@@ -7,25 +7,38 @@
 //! workload, PAPERS.md). One [`apply_updates`] call takes a batch of
 //! typed insert/retract updates and:
 //!
+//! Every step that evaluates a rule drives the one grounding loop,
+//! [`Grounder::ground_rule`] — full, delta and query grounding are the
+//! same evaluation under a different [`BoundSeed`]:
+//!
 //! 1. **Retraction** runs the negative half of semi-naive delta
-//!    evaluation *before* deleting the rows: each rule is re-evaluated
-//!    with one body atom restricted to the doomed rows, which
-//!    enumerates exactly the bindings those rows support. After the
-//!    rows are gone, a seeded re-derivation
-//!    ([`Grounder::eval_rule_seeded`]) counts how many of each binding
-//!    survive on other rows; the excess factors — located exactly via
-//!    the per-factor binding provenance
+//!    evaluation *before* deleting the rows: each rule mentioning a
+//!    changed relation runs under its [`delta_seeds`] (one pass per body
+//!    atom, restricted to the doomed rows), which enumerates exactly the
+//!    bindings those rows support. After the rows are gone, a
+//!    re-derivation seeded with each binding's values counts how many
+//!    identical matches survive on other rows; the excess factors —
+//!    located exactly via the per-factor binding provenance
 //!    ([`Grounding::live_factors_matching`]) — are tombstoned in place
 //!    (no id compaction, so every downstream structure keeps its
-//!    variable ids). Head atoms no rule can re-derive are retired with
-//!    [`Grounding::kill_atom`] and leave the pyramid index.
-//! 2. **Insertion** reuses the positive delta path
-//!    ([`Grounder::ground_delta`]): only rules mentioning a changed
-//!    relation re-run, restricted to the new rows; tombstoned factor
-//!    slots are recycled via the graph's free lists.
+//!    variable ids). Head atoms no rule head can re-derive
+//!    ([`unify_head`] gives the seed, [`head_values`] the exact check)
+//!    are retired with [`Grounding::kill_atom`] and leave the pyramid
+//!    index.
+//! 2. **Insertion** is the positive delta path
+//!    ([`Grounder::ground_delta`]): the same seeds over the new rows;
+//!    tombstoned factor slots are recycled via the graph's free lists.
 //! 3. **Re-inference** re-samples only the concliques of the variables
 //!    the delta touched (new atoms, plus live neighbours of tombstoned
 //!    factors), warm-started from the converged marginals' argmax.
+//!
+//! The grounder carries the session's `Obs`, so a write records the
+//! same `ground.rule` spans and `ground.*` / `store.*` counters as a
+//! batch construct.
+//!
+//! [`RowBatch`] is the one all-or-nothing validator and table mutation
+//! of a row batch; the lazy serving mode, which has no graph to patch,
+//! calls it directly.
 //!
 //! The touched-variable set returned in [`DeltaStats`] is what a serving
 //! layer needs for precise cache invalidation: only cached answers whose
@@ -36,8 +49,10 @@ use std::time::{Duration, Instant};
 
 use sya_core::{KnowledgeBase, SyaSession};
 use sya_fg::VarId;
-use sya_ground::{BoundSeed, GroundError, Grounder, Grounding};
-use sya_lang::{CompiledAtom, CompiledProgram, CompiledRule, RuleKind, SlotTerm};
+use sya_ground::{
+    delta_seeds, head_values, unify_head, BoundSeed, GroundError, Grounder, Grounding,
+};
+use sya_lang::{CompiledProgram, CompiledRule, RuleKind};
 use sya_store::{Database, Row, Value};
 
 /// What to do with one base row.
@@ -123,16 +138,70 @@ impl From<GroundError> for DeltaError {
     }
 }
 
+/// A row batch that passed validation against the tables: every update
+/// fits its relation's schema and every retraction is matched to a
+/// distinct existing row. Validation is all-or-nothing and mutates
+/// nothing, so a bad batch leaves the tables untouched. Retractions
+/// refer to rows present *before* the batch; retracting a row inserted
+/// by the same batch is rejected.
+pub struct RowBatch<'u> {
+    updates: &'u [RowUpdate],
+    /// Row ids each relation loses, in update order.
+    pub retract_rows: HashMap<String, Vec<usize>>,
+}
+
+impl<'u> RowBatch<'u> {
+    pub fn validate(db: &Database, updates: &'u [RowUpdate]) -> Result<Self, DeltaError> {
+        let mut retract_rows: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, u) in updates.iter().enumerate() {
+            let at = |msg: String| DeltaError::BadUpdate(format!("update #{i}: {msg}"));
+            let table = db.table(&u.relation).map_err(|e| at(e.to_string()))?;
+            table.check_row(&u.row).map_err(|e| at(e.to_string()))?;
+            if u.op == RowOp::Retract {
+                let claimed = retract_rows.entry(u.relation.clone()).or_default();
+                let Some(rid) =
+                    table.find_rows(&u.row).into_iter().find(|r| !claimed.contains(r))
+                else {
+                    return Err(at(format!(
+                        "no matching {} row to retract \
+                         (retractions reference rows present before this batch)",
+                        u.relation
+                    )));
+                };
+                claimed.push(rid);
+            }
+        }
+        Ok(RowBatch { updates, retract_rows })
+    }
+
+    /// Deletes the retracted rows; returns how many.
+    pub fn retract(&self, db: &mut Database) -> usize {
+        let mut removed = 0;
+        for (relation, rows) in &self.retract_rows {
+            removed += db.table_mut(relation).expect("validated").remove_rows(rows);
+        }
+        removed
+    }
+
+    /// Appends the inserted rows; returns their row ids per relation.
+    pub fn insert(&self, db: &mut Database) -> HashMap<String, Vec<usize>> {
+        let mut new_rows: HashMap<String, Vec<usize>> = HashMap::new();
+        for u in self.updates.iter().filter(|u| u.op == RowOp::Insert) {
+            let table = db.table_mut(&u.relation).expect("validated");
+            new_rows.entry(u.relation.clone()).or_default().push(table.len());
+            table.insert(u.row.clone()).expect("validated");
+        }
+        new_rows
+    }
+}
+
 /// Applies a batch of base-row updates to a constructed knowledge base:
 /// retractions first (tombstoning their factors and any atoms left
 /// underivable), then insertions (delta grounding), then one
 /// conclique-restricted re-sample of everything the batch touched.
 ///
-/// Validation is all-or-nothing: every update is checked against the
-/// schema — and every retraction matched to a distinct existing row —
-/// before anything mutates, so a bad batch leaves `kb` and `db`
-/// untouched. Retractions refer to rows present *before* the batch;
-/// retracting a row inserted by the same batch is rejected.
+/// The batch is validated first ([`RowBatch::validate`]), so a bad one
+/// leaves `kb` and `db` untouched.
 pub fn apply_updates(
     session: &SyaSession,
     kb: &mut KnowledgeBase,
@@ -145,87 +214,43 @@ pub fn apply_updates(
     }
     let t0 = Instant::now();
 
-    // ---- Validate everything before mutating anything.
-    let mut claimed: HashMap<&str, HashSet<usize>> = HashMap::new();
-    let mut retract_rows: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, u) in updates.iter().enumerate() {
-        let table = db
-            .table(&u.relation)
-            .map_err(|e| DeltaError::BadUpdate(format!("update #{i}: {e}")))?;
-        table
-            .check_row(&u.row)
-            .map_err(|e| DeltaError::BadUpdate(format!("update #{i}: {e}")))?;
-        if u.op == RowOp::Retract {
-            let taken = claimed.entry(u.relation.as_str()).or_default();
-            let Some(rid) = table.find_rows(&u.row).into_iter().find(|r| !taken.contains(r))
-            else {
-                return Err(DeltaError::BadUpdate(format!(
-                    "update #{i}: no matching {} row to retract \
-                     (retractions reference rows present before this batch)",
-                    u.relation
-                )));
-            };
-            taken.insert(rid);
-            retract_rows.entry(u.relation.clone()).or_default().push(rid);
-        }
-    }
+    let batch = RowBatch::validate(db, updates)?;
 
     let live_factors_start = kb.grounding.graph.num_live_factors();
     let live_spatial_start = kb.grounding.graph.num_live_spatial_factors();
     let program = session.compiled();
-    let mut grounder = Grounder::new(program, session.config().ground.clone());
+    let mut grounder = Grounder::new(program, session.config().ground.clone())
+        .with_obs(session.obs().clone());
     let mut touched: HashSet<VarId> = HashSet::new();
     let mut stats = DeltaStats::default();
 
     // ---- Retract phase.
-    if !retract_rows.is_empty() {
+    if !batch.retract_rows.is_empty() {
         // Enumerate the bindings the doomed rows support, while the rows
-        // are still present: one delta pass per (rule, body position),
-        // deduplicated so a match using doomed rows at two positions
-        // counts once. (Duplicate matches collapse to one binding here;
-        // the survivor count below restores the multiplicity.)
-        let mut vanished: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
-        for (ri, rule) in program.rules.iter().enumerate() {
-            let delta_atoms: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| retract_rows.contains_key(&a.relation))
-                .map(|(k, _)| k)
-                .collect();
-            if delta_atoms.is_empty() {
+        // are still present. (Duplicate matches collapse to one binding
+        // here; the survivor count below restores the multiplicity.)
+        let mut vanished: Vec<(&CompiledRule, Vec<Vec<Value>>)> = Vec::new();
+        for rule in &program.rules {
+            let seeds = delta_seeds(rule, &batch.retract_rows);
+            if seeds.is_empty() {
                 continue;
             }
-            let mut seen = HashSet::new();
             let mut bindings = Vec::new();
-            for k in delta_atoms {
-                for b in
-                    grounder.eval_rule_delta(rule, db, &mut kb.grounding, k, &retract_rows)?
-                {
-                    if seen.insert(Grounding::canonical_key(&b)) {
-                        bindings.push(b);
-                    }
-                }
-            }
-            if !bindings.is_empty() {
-                vanished.push((ri, bindings));
-            }
+            let mut seen = HashSet::new();
+            grounder.ground_rule(rule, db, &mut kb.grounding, &seeds, Some(&mut seen), |_, _, b| {
+                bindings.push(b.to_vec());
+                Ok(())
+            })?;
+            vanished.push((rule, bindings));
         }
 
-        // Delete the rows; the hash indexes were built on the old tables.
-        for (rel, rows) in &retract_rows {
-            let table =
-                db.table_mut(rel).map_err(|e| DeltaError::Ground(GroundError::Store(e)))?;
-            stats.rows_retracted += table.remove_rows(rows);
-        }
-        let _ = grounder.take_hash_indexes();
+        stats.rows_retracted = batch.retract(db);
 
         // Per vanished binding: count how many identical matches survive
         // on the remaining rows, tombstone the excess factors, and mark
         // head atoms of fully vanished bindings as death candidates.
         let mut candidates: Vec<VarId> = Vec::new();
-        for (ri, bindings) in vanished {
-            let rule = &program.rules[ri];
+        for (rule, bindings) in vanished {
             for binding in bindings {
                 let key = Grounding::canonical_key(&binding);
                 let surviving =
@@ -271,16 +296,8 @@ pub fn apply_updates(
     let live_spatial_mid = kb.grounding.graph.num_live_spatial_factors();
 
     // ---- Insert phase: the positive delta path.
-    let mut insert_delta: HashMap<String, Vec<usize>> = HashMap::new();
-    for u in updates.iter().filter(|u| u.op == RowOp::Insert) {
-        let table =
-            db.table_mut(&u.relation).map_err(|e| DeltaError::Ground(GroundError::Store(e)))?;
-        insert_delta.entry(u.relation.clone()).or_default().push(table.len());
-        table
-            .insert(u.row.clone())
-            .map_err(|e| DeltaError::Ground(GroundError::Store(e)))?;
-        stats.rows_inserted += 1;
-    }
+    let insert_delta = batch.insert(db);
+    stats.rows_inserted = insert_delta.values().map(Vec::len).sum();
     let new_vars: Vec<VarId> = if insert_delta.is_empty() {
         Vec::new()
     } else {
@@ -353,33 +370,10 @@ fn publish(session: &SyaSession, stats: &DeltaStats) {
     obs.histogram_record("delta.infer_seconds", stats.infer_time.as_secs_f64());
 }
 
-/// Head-atom values under a binding (the same mapping grounding applies:
-/// wildcards materialize as `Null`).
-fn head_values(atom: &CompiledAtom, binding: &[Value]) -> Vec<Value> {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            SlotTerm::Slot(s) => binding[*s].clone(),
-            SlotTerm::Const(v) => v.clone(),
-            SlotTerm::Wildcard => Value::Null,
-        })
-        .collect()
-}
-
-/// Values safe to pre-bind in a [`BoundSeed`]: `Null` never satisfies
-/// SQL equality and geometries have no hash-join key (the equi-probe
-/// would return nothing), so both stay unseeded. A seed is only a
-/// restriction — the caller's exact canonical-key filter decides.
-fn seedable(values: impl Iterator<Item = (usize, Value)>) -> BoundSeed {
-    BoundSeed {
-        values: values.filter(|(_, v)| v.join_key().is_some()).collect(),
-        within: None,
-    }
-}
-
 /// How many matches of `rule` with exactly this binding remain on the
 /// post-deletion tables (each corresponds to one factor the binding
-/// still owns).
+/// still owns). Seeding every non-`Null` slot makes this a handful of
+/// index probes; the canonical-key filter decides.
 fn surviving_matches(
     grounder: &mut Grounder,
     rule: &CompiledRule,
@@ -388,14 +382,18 @@ fn surviving_matches(
     binding: &[Value],
     key: &str,
 ) -> Result<usize, GroundError> {
-    let seed = seedable(binding.iter().cloned().enumerate());
+    let seed = BoundSeed {
+        values: binding.iter().cloned().enumerate().filter(|(_, v)| !v.is_null()).collect(),
+        ..Default::default()
+    };
     let rows = grounder.eval_rule_seeded(rule, db, out, &seed)?;
     Ok(rows.iter().filter(|b| Grounding::canonical_key(b) == key).count())
 }
 
 /// Whether any rule head can still derive the ground atom `v` from the
-/// current tables: per matching head, seed the body evaluation with the
-/// atom's values and check for a binding that reproduces them exactly.
+/// current tables: per head that unifies with the atom, evaluate the
+/// body under that seed and look for a binding that reproduces the
+/// atom exactly.
 fn atom_derivable(
     grounder: &mut Grounder,
     program: &CompiledProgram,
@@ -408,52 +406,10 @@ fn atom_derivable(
     };
     let key = Grounding::canonical_key(&values);
     for rule in &program.rules {
-        for atom in &rule.head {
-            if atom.relation != relation {
-                continue;
-            }
-            // Bind the head's slots to the atom's values; constants and
-            // wildcards must agree with the atom or this head can never
-            // produce it.
-            let mut seed_vals: HashMap<usize, Value> = HashMap::new();
-            let mut feasible = true;
-            for (pos, t) in atom.terms.iter().enumerate() {
-                let want = &values[pos];
-                match t {
-                    SlotTerm::Slot(s) => {
-                        if want.is_null() {
-                            continue;
-                        }
-                        match seed_vals.get(s) {
-                            Some(prev) if prev.sql_eq(want) != Some(true) => {
-                                feasible = false;
-                                break;
-                            }
-                            _ => {
-                                seed_vals.insert(*s, want.clone());
-                            }
-                        }
-                    }
-                    SlotTerm::Const(c) => {
-                        if c.sql_eq(want) != Some(true) {
-                            feasible = false;
-                            break;
-                        }
-                    }
-                    SlotTerm::Wildcard => {
-                        if !want.is_null() {
-                            feasible = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !feasible {
-                continue;
-            }
-            let seed = seedable(seed_vals.into_iter());
+        for head in rule.head.iter().filter(|h| h.relation == relation) {
+            let Some(seed) = unify_head(head, &values) else { continue };
             for b in grounder.eval_rule_seeded(rule, db, out, &seed)? {
-                if Grounding::canonical_key(&head_values(atom, &b)) == key {
+                if Grounding::canonical_key(&head_values(head, &b)) == key {
                     return Ok(true);
                 }
             }
@@ -498,46 +454,6 @@ mod tests {
         ]
     }
 
-    /// Multiset of live logical-factor signatures, id-independent: the
-    /// isomorphism key the delta path must preserve.
-    fn live_factor_signatures(g: &Grounding) -> Vec<String> {
-        let mut sigs: Vec<String> = g
-            .graph
-            .factors()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !g.graph.is_factor_dead(*i as u32))
-            .map(|(_, f)| {
-                let mut names: Vec<&str> =
-                    f.vars.iter().map(|&v| g.graph.variable(v).name.as_str()).collect();
-                names.sort_unstable();
-                format!("{:?}|{}|{}", f.kind, names.join(","), f.weight)
-            })
-            .collect();
-        sigs.sort();
-        sigs
-    }
-
-    fn live_spatial_signatures(g: &Grounding) -> Vec<String> {
-        let mut sigs: Vec<String> = g
-            .graph
-            .spatial_factors()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !g.graph.is_spatial_factor_dead(*i as u32))
-            .map(|(_, f)| {
-                let mut names = [
-                    g.graph.variable(f.a).name.as_str(),
-                    g.graph.variable(f.b).name.as_str(),
-                ];
-                names.sort_unstable();
-                format!("{}|{}|{:.9}", names[0], names[1], f.weight)
-            })
-            .collect();
-        sigs.sort();
-        sigs
-    }
-
     #[test]
     fn insert_grounds_and_samples_the_new_atom() {
         let (session, mut kb, mut d) = build(60);
@@ -567,8 +483,7 @@ mod tests {
     fn insert_then_retract_restores_the_graph() {
         let (session, mut kb, mut d) = build(60);
         let evidence = ev(&d);
-        let base_factors = live_factor_signatures(&kb.grounding);
-        let base_spatial = live_spatial_signatures(&kb.grounding);
+        let base = kb.grounding.signature();
         let base_rows = d.db.table("Well").unwrap().len();
 
         let row = well_row(9001, 40.0, 40.0, 0.1);
@@ -581,7 +496,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ins.vars_added, 1);
-        assert!(live_factor_signatures(&kb.grounding).len() >= base_factors.len());
+        assert!(kb.grounding.signature().len() > base.len());
 
         let ret = apply_updates(
             &session,
@@ -594,8 +509,7 @@ mod tests {
         assert_eq!(ret.rows_retracted, 1);
         assert_eq!(ret.vars_removed, 1, "the well's atom must die: {ret:?}");
         assert_eq!(d.db.table("Well").unwrap().len(), base_rows);
-        assert_eq!(live_factor_signatures(&kb.grounding), base_factors);
-        assert_eq!(live_spatial_signatures(&kb.grounding), base_spatial);
+        assert_eq!(kb.grounding.signature(), base);
         assert!(
             kb.grounding
                 .atom_id("IsSafe", &[Value::Int(9001), Value::from(Point::new(40.0, 40.0))])
@@ -621,11 +535,10 @@ mod tests {
         assert_eq!(stats.vars_removed, 1);
 
         // A fresh grounding of the post-delete database must agree on the
-        // live-factor multiset (ids differ; signatures must not).
+        // live graph (ids differ; signatures must not).
         let mut grounder = Grounder::new(session.compiled(), session.config().ground.clone());
         let fresh = grounder.ground(&mut d.db, &evidence).unwrap();
-        assert_eq!(live_factor_signatures(&kb.grounding), live_factor_signatures(&fresh));
-        assert_eq!(live_spatial_signatures(&kb.grounding), live_spatial_signatures(&fresh));
+        assert_eq!(kb.grounding.signature(), fresh.signature());
     }
 
     #[test]
@@ -677,6 +590,48 @@ mod tests {
 
         assert_eq!(d.db.table("Well").unwrap().len(), rows_before);
         assert_eq!(kb.grounding.graph.num_live_factors(), factors_before);
+    }
+
+    #[test]
+    fn delta_grounding_is_observed() {
+        let mut d = gwdb_dataset(&GwdbConfig { n_wells: 40, ..Default::default() });
+        let cfg = SyaConfig::sya().with_epochs(50).with_bandwidth(15.0).with_spatial_radius(30.0);
+        let obs = sya_obs::Obs::enabled();
+        let session = SyaSession::new_with_obs(
+            &d.program,
+            d.constants.clone(),
+            d.metric,
+            cfg,
+            obs.clone(),
+        )
+        .unwrap();
+        let evidence = ev(&d);
+        let mut kb = session.construct(&mut d.db, &evidence).unwrap();
+        let rule_spans = || {
+            obs.trace_snapshot().spans.iter().filter(|s| s.name == "ground.rule").count()
+        };
+        let bindings =
+            || obs.metrics().unwrap().counter_value("ground.bindings_total").unwrap_or(0);
+        let probes = || {
+            let m = obs.metrics().unwrap();
+            m.counter_value("store.planner_hash_probe_total").unwrap_or(0)
+                + m.counter_value("store.planner_spatial_probe_total").unwrap_or(0)
+                + m.counter_value("store.planner_full_scan_total").unwrap_or(0)
+        };
+        let (spans0, bindings0, probes0) = (rule_spans(), bindings(), probes());
+
+        apply_updates(
+            &session,
+            &mut kb,
+            &mut d.db,
+            &evidence,
+            &[RowUpdate::insert("Well", well_row(9001, 40.0, 40.0, 0.1))],
+        )
+        .unwrap();
+        // Every rule of the GWDB program reads Well, so each re-runs.
+        assert_eq!(rule_spans() - spans0, session.compiled().rules.len());
+        assert!(bindings() > bindings0, "the new well's bindings are counted");
+        assert!(probes() > probes0, "planner choices of the delta passes are counted");
     }
 
     #[test]

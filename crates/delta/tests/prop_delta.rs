@@ -11,7 +11,7 @@ use sya_core::{KnowledgeBase, SyaConfig, SyaSession};
 use sya_data::{gwdb_dataset, Dataset, GwdbConfig};
 use sya_delta::{apply_updates, RowUpdate};
 use sya_geom::Point;
-use sya_ground::{Grounder, Grounding};
+use sya_ground::Grounder;
 use sya_store::{Row, Value};
 
 fn config() -> SyaConfig {
@@ -33,44 +33,6 @@ fn new_well(idx: usize) -> Row {
         Value::Double(if idx.is_multiple_of(2) { 0.08 } else { 0.5 }),
         Value::Double(0.2),
     ]
-}
-
-/// Live logical-factor signatures, variable-id independent (atom names
-/// encode relation + values, so they survive re-grounding).
-fn factor_signatures(g: &Grounding) -> Vec<String> {
-    let mut sigs: Vec<String> = g
-        .graph
-        .factors()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !g.graph.is_factor_dead(*i as u32))
-        .map(|(_, f)| {
-            let mut names: Vec<&str> =
-                f.vars.iter().map(|&v| g.graph.variable(v).name.as_str()).collect();
-            names.sort_unstable();
-            format!("{:?}|{}|{}", f.kind, names.join(","), f.weight)
-        })
-        .collect();
-    sigs.sort();
-    sigs
-}
-
-fn spatial_signatures(g: &Grounding) -> Vec<String> {
-    let mut sigs: Vec<String> = g
-        .graph
-        .spatial_factors()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !g.graph.is_spatial_factor_dead(*i as u32))
-        .map(|(_, f)| {
-            let mut names =
-                [g.graph.variable(f.a).name.as_str(), g.graph.variable(f.b).name.as_str()];
-            names.sort_unstable();
-            format!("{}|{}|{:.9}", names[0], names[1], f.weight)
-        })
-        .collect();
-    sigs.sort();
-    sigs
 }
 
 fn scores(kb: &KnowledgeBase) -> HashMap<i64, f64> {
@@ -118,8 +80,7 @@ proptest! {
         // Structural parity: same live factors modulo variable ids.
         let mut grounder = Grounder::new(session.compiled(), session.config().ground.clone());
         let fresh = grounder.ground(&mut d.db, &evidence).unwrap();
-        prop_assert_eq!(factor_signatures(&kb.grounding), factor_signatures(&fresh));
-        prop_assert_eq!(spatial_signatures(&kb.grounding), spatial_signatures(&fresh));
+        prop_assert_eq!(kb.grounding.signature(), fresh.signature());
 
         // Marginal parity: a fresh full construction over the final
         // database agrees within sampler tolerance on every atom.

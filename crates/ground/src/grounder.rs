@@ -3,13 +3,13 @@
 
 use crate::pruning::{allowed_domain_pairs, build_cooccurrence};
 use crate::GroundError;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use sya_fg::{
     Domain, Factor, FactorKind, FactorGraph, RegionFactor, SpatialFactor, VarId, Variable,
     WeightingFn,
 };
 use sya_geom::{haversine_miles, DistanceMetric, Point, RTree, Rect};
-use sya_lang::{CompiledProgram, CompiledRule, HeadOp, RuleKind, SlotTerm};
+use sya_lang::{CompiledAtom, CompiledProgram, CompiledRule, HeadOp, RuleKind, SlotTerm};
 use sya_runtime::{ExecContext, Obs, Phase, ResourceUsage, RunOutcome};
 use sya_store::{expr_columns, BinOp, Database, Expr, SpatialFn, Value};
 
@@ -164,7 +164,7 @@ impl Grounding {
     /// Returns the old-id → new-id map.
     pub fn remove_atoms(
         &mut self,
-        remove: &std::collections::HashSet<VarId>,
+        remove: &HashSet<VarId>,
     ) -> Vec<Option<VarId>> {
         // Factors surviving = live and all endpoints survive (same rule
         // the graph compaction applies); keep the factor side tables in
@@ -216,10 +216,58 @@ impl Grounding {
                 }
             });
         }
+        self.refresh_stats();
+        remap
+    }
+
+    /// Re-reads the graph-size counters of [`Self::stats`] off the graph.
+    fn refresh_stats(&mut self) {
         self.stats.variables_created = self.graph.num_variables();
         self.stats.logical_factors = self.graph.num_factors();
         self.stats.spatial_factors = self.graph.num_spatial_factors();
-        remap
+    }
+
+    /// The live graph as sorted, variable-id-independent lines — one per
+    /// atom (`atom|name|domain|evidence`), logical factor
+    /// (`factor|rule|kind|head atoms|weight`) and spatial factor
+    /// (`spatial|a|b|weight|domain values`, endpoints in name order).
+    /// Two groundings of the same knowledge base have equal signatures
+    /// however their ids were assigned; the snapshot corpus and the
+    /// delta isomorphism suites compare on it.
+    pub fn signature(&self) -> Vec<String> {
+        let g = &self.graph;
+        let name = |v: VarId| {
+            let (relation, values) = &self.atom_meta[v as usize];
+            let args: Vec<String> = values.iter().map(Value::to_string).collect();
+            format!("{relation}({})", args.join(", "))
+        };
+        let mut lines = Vec::new();
+        for v in (0..g.num_variables() as VarId).filter(|&v| !g.is_var_dead(v)) {
+            let var = g.variable(v);
+            let evidence = var.evidence.map_or("?".to_owned(), |e| e.to_string());
+            lines.push(format!("atom|{}|{}|{evidence}", name(v), var.domain.cardinality()));
+        }
+        for (i, f) in g.factors().iter().enumerate() {
+            if !g.is_factor_dead(i as u32) {
+                let atoms: Vec<String> = f.vars.iter().map(|&v| name(v)).collect();
+                let rule = &self.factor_rules[i];
+                lines.push(format!("factor|{rule}|{:?}|{}|{}", f.kind, atoms.join(" "), f.weight));
+            }
+        }
+        for (i, f) in g.spatial_factors().iter().enumerate() {
+            if !g.is_spatial_factor_dead(i as u32) {
+                let (mut a, mut b) = (name(f.a), name(f.b));
+                let mut pair = f.domain_pair;
+                if b < a {
+                    std::mem::swap(&mut a, &mut b);
+                    pair = pair.map(|(ta, tb)| (tb, ta));
+                }
+                let values = pair.map_or("-".to_owned(), |(ta, tb)| format!("{ta},{tb}"));
+                lines.push(format!("spatial|{a}|{b}|{:.9}|{values}", f.weight));
+            }
+        }
+        lines.sort_unstable();
+        lines
     }
 
     /// All ground atoms of a variable relation.
@@ -309,69 +357,97 @@ impl Grounding {
     }
 }
 
-/// The lazily built per-column hash indexes a [`Grounder`] accumulates —
-/// `(relation, column) -> join key -> row ids`. Exposed so demand-driven
-/// callers that create a fresh `Grounder` per query can carry the cache
-/// across calls (the indexes stay valid as long as the input tables are
-/// not mutated).
-pub type HashIndexCache = HashMap<(String, usize), HashMap<sya_store::JoinKey, Vec<usize>>>;
-
-/// A seed restriction for demand-driven (magic-sets) body evaluation:
-/// the query's bound values enter the binding row *before* the first
-/// body atom, so every probe strategy (hash equi-probe, R-tree spatial
-/// probe, condition filters) can exploit them.
+/// The one restriction a rule-body evaluation runs under. The default
+/// restricts nothing (full grounding); bound slot values are a query's
+/// bound atom, `rows` is a semi-naive delta pass. Bound values enter the
+/// binding row *before* the first body atom, so every probe strategy
+/// (hash equi-probe, R-tree spatial probe, condition filters) can
+/// exploit them.
 #[derive(Debug, Clone, Default)]
 pub struct BoundSeed {
-    /// Slots pre-bound with the query's values.
+    /// Slots pre-bound with known values.
     pub values: Vec<(usize, Value)>,
     /// Restrict the body atom that first binds this slot to rows whose
     /// spatial column lies within the candidate radius (coordinate
     /// units; see [`candidate_radius`]) of the center point — the
     /// "all atoms near here" enumeration of spatial-neighbor expansion.
     pub within: Option<(usize, Point, f64)>,
+    /// Restrict body atom `k` to these row ids of its relation.
+    pub rows: Option<(usize, Vec<usize>)>,
 }
 
-impl BoundSeed {
-    /// A seed binding a single slot to a value.
-    pub fn slot(slot: usize, value: Value) -> BoundSeed {
-        BoundSeed { values: vec![(slot, value)], within: None }
-    }
+/// Semi-naive delta seeds: one per body atom of `rule` whose relation
+/// has changed rows, restricting that atom to them. A match touching
+/// changed rows at two positions shows up in two passes; the caller's
+/// `seen` set in [`Grounder::ground_rule`] keeps the first.
+pub fn delta_seeds(rule: &CompiledRule, changed: &HashMap<String, Vec<usize>>) -> Vec<BoundSeed> {
+    rule.body
+        .iter()
+        .enumerate()
+        .filter_map(|(k, atom)| {
+            let rows = changed.get(&atom.relation)?;
+            Some(BoundSeed { rows: Some((k, rows.clone())), ..BoundSeed::default() })
+        })
+        .collect()
+}
 
-    /// A purely spatial seed: no bound values, candidates of the slot's
-    /// first-binding atom restricted to `radius` around `center`.
-    pub fn within(slot: usize, center: Point, radius: f64) -> BoundSeed {
-        BoundSeed { values: Vec::new(), within: Some((slot, center, radius)) }
+/// Head-atom values under a binding (wildcards materialize as `Null`).
+pub fn head_values(head: &CompiledAtom, binding: &[Value]) -> Vec<Value> {
+    head.terms
+        .iter()
+        .map(|t| match t {
+            SlotTerm::Slot(s) => binding[*s].clone(),
+            SlotTerm::Const(v) => v.clone(),
+            SlotTerm::Wildcard => Value::Null,
+        })
+        .collect()
+}
+
+/// The inverse of [`head_values`]: the seed under which `head`
+/// instantiates to the ground atom `values`, or `None` when it cannot
+/// (a constant or wildcard disagrees, or a repeated slot would need two
+/// values). A `values` slice shorter than the head binds that prefix
+/// only — a query knows the id column, not the whole atom. `Null`
+/// values bind nothing (`Null` never satisfies SQL equality), so a
+/// caller that needs the exact atom compares [`head_values`] of each
+/// binding against it.
+pub fn unify_head(head: &CompiledAtom, values: &[Value]) -> Option<BoundSeed> {
+    let mut seed = BoundSeed::default();
+    for (term, want) in head.terms.iter().zip(values) {
+        match term {
+            SlotTerm::Slot(_) if want.is_null() => {}
+            SlotTerm::Slot(s) => match seed.values.iter().find(|(slot, _)| slot == s) {
+                Some((_, prev)) if prev.sql_eq(want) != Some(true) => return None,
+                Some(_) => {}
+                None => seed.values.push((*s, want.clone())),
+            },
+            SlotTerm::Const(c) if c == want || c.sql_eq(want) == Some(true) => {}
+            SlotTerm::Wildcard if want.is_null() => {}
+            SlotTerm::Const(_) | SlotTerm::Wildcard => return None,
+        }
     }
+    Some(seed)
 }
 
 /// The grounding executor.
 pub struct Grounder<'p> {
     program: &'p CompiledProgram,
     config: GroundConfig,
-    /// Lazy hash indexes: `(relation, column) -> join key -> row ids`.
-    hash_indexes: HashIndexCache,
-    /// Observability handle, adopted from the [`ExecContext`] at the
-    /// start of each governed run (delta grounding reuses the last one).
+    /// Observability handle: set by [`Self::with_obs`], or adopted from
+    /// the [`ExecContext`] of a governed run.
     obs: Obs,
 }
 
 impl<'p> Grounder<'p> {
     pub fn new(program: &'p CompiledProgram, config: GroundConfig) -> Self {
-        Grounder { program, config, hash_indexes: HashMap::new(), obs: Obs::disabled() }
+        Grounder { program, config, obs: Obs::disabled() }
     }
 
-    /// Detaches the accumulated hash-index cache so a caller that builds
-    /// a fresh `Grounder` per query (the demand-driven path) can restore
-    /// it with [`Self::set_hash_indexes`] instead of re-scanning the
-    /// tables. The cache is only valid while the indexed tables are
-    /// unchanged — drop it after any insert.
-    pub fn take_hash_indexes(&mut self) -> HashIndexCache {
-        std::mem::take(&mut self.hash_indexes)
-    }
-
-    /// Restores a cache detached by [`Self::take_hash_indexes`].
-    pub fn set_hash_indexes(&mut self, indexes: HashIndexCache) {
-        self.hash_indexes = indexes;
+    /// Records `ground.*` spans and counters (and, through the tables,
+    /// `store.*`) of every rule this grounder evaluates.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Grounds the program against `db`. `evidence` maps a head atom
@@ -393,7 +469,8 @@ impl<'p> Grounder<'p> {
     /// Checkpoint placement: derivation rules always run to completion
     /// (inference needs every variable to exist), so interruption is
     /// honoured between inference rules and inside the spatial-factor
-    /// pair loop. Budget checks run after every rule and every
+    /// pair loop. Budget checks run after every rule, every
+    /// [`BINDING_CHECKPOINT_INTERVAL`] bindings and every
     /// [`SPATIAL_CHECKPOINT_INTERVAL`] spatial factors.
     pub fn ground_with(
         &mut self,
@@ -402,39 +479,33 @@ impl<'p> Grounder<'p> {
         ctx: &ExecContext,
     ) -> Result<Grounding, GroundError> {
         self.obs = ctx.obs().clone();
-        if self.obs.is_enabled() {
-            db.attach_obs(self.obs.clone());
-        }
         let mut out = Grounding::new_empty();
-
-        // Derivation rules first: they create the random variables.
-        for rule in &self.program.rules {
-            if rule.kind == RuleKind::Derivation {
-                ctx.maybe_slow(Phase::Grounding);
-                self.execute_rule_with(rule, db, evidence, &mut out, ctx)?;
-                check_graph_budget(ctx, &out.graph)?;
-            }
-        }
-        // Then inference rules: they emit logical factors.
-        for rule in &self.program.rules {
+        for rule in self.rules_in_ground_order() {
             if rule.kind != RuleKind::Derivation {
                 if let Some(outcome) = ctx.interrupted() {
                     out.outcome = outcome;
                     break;
                 }
-                ctx.maybe_slow(Phase::Grounding);
-                self.execute_rule_with(rule, db, evidence, &mut out, ctx)?;
-                check_graph_budget(ctx, &out.graph)?;
             }
+            ctx.maybe_slow(Phase::Grounding);
+            let mut applied = 0usize;
+            self.ground_rule(rule, db, &mut out, &[BoundSeed::default()], None, |g, out, b| {
+                // A single wide join can blow the budget mid-rule;
+                // count-only checks are O(1).
+                applied += 1;
+                if applied.is_multiple_of(BINDING_CHECKPOINT_INTERVAL) {
+                    check_graph_counts(ctx, &out.graph)?;
+                }
+                g.apply_binding(rule, b, evidence, out);
+                Ok(())
+            })?;
+            check_graph_budget(ctx, &out.graph)?;
         }
         // Finally, automatic spatial factors for @spatial relations.
         if self.config.generate_spatial_factors && !out.outcome.is_partial() {
-            self.ground_spatial_factors_with(&mut out, None, ctx)?;
+            self.ground_spatial_factors(&mut out, None, ctx)?;
         }
-
-        out.stats.variables_created = out.graph.num_variables();
-        out.stats.logical_factors = out.graph.num_factors();
-        out.stats.spatial_factors = out.graph.num_spatial_factors();
+        out.refresh_stats();
         self.publish_stats(&out.stats);
         Ok(out)
     }
@@ -453,15 +524,24 @@ impl<'p> Grounder<'p> {
         self.obs.counter_add("ground.pruned_pairs_total", stats.pruned_domain_pairs as u64);
     }
 
+    /// The program's rules in grounding order: derivation rules first
+    /// (they create the random variables), then inference rules.
+    fn rules_in_ground_order(&self) -> impl Iterator<Item = &'p CompiledRule> {
+        let rules = &self.program.rules;
+        rules
+            .iter()
+            .filter(|r| r.kind == RuleKind::Derivation)
+            .chain(rules.iter().filter(|r| r.kind != RuleKind::Derivation))
+    }
+
     /// Incrementally extends an existing grounding after new input rows
     /// were inserted (paper Section II: the factor-graph update path).
     ///
     /// `new_rows` maps relation names to the row indices that were just
-    /// added to `db`. Semi-naive delta evaluation re-runs each rule once
-    /// per body atom whose relation received new rows, restricting that
-    /// atom to the new rows; bindings are deduplicated across passes so a
-    /// match touching two new rows grounds exactly once. New spatial
-    /// factors are generated only for pairs with a new endpoint.
+    /// added to `db`. Each rule mentioning a changed relation re-runs
+    /// under its [`delta_seeds`]; a match touching two new rows grounds
+    /// exactly once. New spatial factors are generated only for pairs
+    /// with a new endpoint.
     ///
     /// Returns the ids of the newly created ground atoms.
     pub fn ground_delta(
@@ -471,143 +551,120 @@ impl<'p> Grounder<'p> {
         out: &mut Grounding,
         new_rows: &HashMap<String, Vec<usize>>,
     ) -> Result<Vec<VarId>, GroundError> {
-        // Tables changed: drop stale per-column hash indexes.
-        self.hash_indexes.clear();
         let first_new_var = out.graph.num_variables() as VarId;
-
-        // Rules in the same order as `ground`: derivations first.
-        let mut ordered: Vec<&CompiledRule> = self
-            .program
-            .rules
-            .iter()
-            .filter(|r| r.kind == RuleKind::Derivation)
-            .collect();
-        ordered.extend(self.program.rules.iter().filter(|r| r.kind != RuleKind::Derivation));
-
-        for rule in ordered {
-            let delta_atoms: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| new_rows.contains_key(&a.relation))
-                .map(|(k, _)| k)
-                .collect();
-            if delta_atoms.is_empty() {
+        for rule in self.rules_in_ground_order() {
+            let seeds = delta_seeds(rule, new_rows);
+            if seeds.is_empty() {
                 continue;
             }
-            // Deduplicate bindings across the per-atom delta passes.
-            let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-            for k in delta_atoms {
-                let bindings = self.eval_body_delta(rule, db, out, Some((k, new_rows)))?;
-                for binding in &bindings {
-                    if seen.insert(Grounding::canonical_key(binding)) {
-                        self.apply_binding(rule, binding, evidence, out);
-                    }
-                }
-            }
-            out.stats.rules_executed += 1;
+            let mut seen = HashSet::new();
+            self.ground_rule(rule, db, out, &seeds, Some(&mut seen), |g, out, b| {
+                g.apply_binding(rule, b, evidence, out);
+                Ok(())
+            })?;
         }
 
         let new_vars: Vec<VarId> = (first_new_var..out.graph.num_variables() as VarId).collect();
         if self.config.generate_spatial_factors && !new_vars.is_empty() {
-            let new_set: std::collections::HashSet<VarId> = new_vars.iter().copied().collect();
-            self.ground_spatial_factors(out, Some(&new_set))?;
+            let new_set: HashSet<VarId> = new_vars.iter().copied().collect();
+            self.ground_spatial_factors(out, Some(&new_set), &ExecContext::unbounded())?;
         }
-        out.stats.variables_created = out.graph.num_variables();
-        out.stats.logical_factors = out.graph.num_factors();
-        out.stats.spatial_factors = out.graph.num_spatial_factors();
+        out.refresh_stats();
         Ok(new_vars)
     }
 
-    fn execute_rule_with(
+    /// The one grounding loop: evaluates `rule` once per seed under a
+    /// `ground.rule` span and hands every binding to `sink`, which
+    /// materializes it ([`Self::apply_binding`]) or records it (the
+    /// retract enumeration of `sya-delta`). With `seen`, a binding whose
+    /// canonical key the set already holds is dropped — the dedup that
+    /// keeps a match found by two seeds, or by two expansions of one
+    /// query closure, to one factor. Full grounding passes `None`: its
+    /// single unrestricted pass finds each match once.
+    pub fn ground_rule(
         &mut self,
         rule: &CompiledRule,
         db: &mut Database,
-        evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
         out: &mut Grounding,
-        ctx: &ExecContext,
+        seeds: &[BoundSeed],
+        mut seen: Option<&mut HashSet<String>>,
+        mut sink: impl FnMut(&Self, &mut Grounding, &[Value]) -> Result<(), GroundError>,
     ) -> Result<(), GroundError> {
-        let mut span = self
-            .obs
-            .span_with("ground.rule", vec![("rule".to_string(), rule.label.clone())]);
-        let bindings = self.eval_body(rule, db, out)?;
-        span.set_attr("bindings", bindings.len());
-        self.obs.counter_add("ground.bindings_total", bindings.len() as u64);
-        out.stats.rules_executed += 1;
-        for (i, binding) in bindings.iter().enumerate() {
-            // A single wide join can blow the budget mid-rule; count-only
-            // checks are O(1) so run them periodically inside the loop.
-            if i > 0 && i.is_multiple_of(BINDING_CHECKPOINT_INTERVAL) {
-                check_graph_counts(ctx, &out.graph)?;
+        let attrs = if self.obs.is_enabled() {
+            db.attach_obs(self.obs.clone());
+            vec![("rule".to_string(), rule.label.clone())]
+        } else {
+            Vec::new()
+        };
+        let mut span = self.obs.span_with("ground.rule", attrs);
+        let mut bindings = 0usize;
+        for seed in seeds {
+            for binding in self.eval_rule_seeded(rule, db, out, seed)? {
+                if let Some(seen) = seen.as_deref_mut() {
+                    if !seen.insert(Grounding::canonical_key(&binding)) {
+                        continue;
+                    }
+                }
+                bindings += 1;
+                sink(self, out, &binding)?;
             }
-            self.apply_binding(rule, binding, evidence, out);
         }
+        span.set_attr("bindings", bindings);
+        self.obs.counter_add("ground.bindings_total", bindings as u64);
+        out.stats.rules_executed += 1;
         Ok(())
     }
 
     /// Instantiates head atoms (and the factor, for inference rules) for
-    /// one satisfying binding. Public for the demand-driven grounder,
-    /// which enumerates bindings with [`Self::eval_rule_seeded`] and
-    /// materializes only the ones inside the query neighborhood. Callers
-    /// adding factors incrementally must deduplicate bindings themselves
-    /// (atoms deduplicate automatically via the catalogue; factors do
-    /// not).
+    /// one satisfying binding; returns the index of the new logical
+    /// factor, if the rule makes one. Atoms deduplicate through the
+    /// catalogue; factors do not — a binding reaches here once because
+    /// [`Self::ground_rule`] dropped its repeats.
     pub fn apply_binding(
         &self,
         rule: &CompiledRule,
         binding: &[Value],
         evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
         out: &mut Grounding,
-    ) {
-        match rule.kind {
-            RuleKind::Derivation => {
-                let atom = &rule.head[0];
-                self.materialize_atom(atom, binding, evidence, out);
-            }
-            RuleKind::Inference(op) => {
-                let mut vars = Vec::with_capacity(rule.head.len());
-                for atom in &rule.head {
-                    vars.push(self.materialize_atom(atom, binding, evidence, out));
-                }
-                let kind = match op {
-                    HeadOp::Imply => FactorKind::Imply,
-                    HeadOp::And => FactorKind::And,
-                    HeadOp::Or => FactorKind::Or,
-                    HeadOp::IsTrue => FactorKind::IsTrue,
-                };
-                // `add_factor` may reuse a tombstoned slot; write the
-                // side tables at the returned index either way.
-                let idx = out.graph.add_factor(Factor::new(kind, vars, rule.weight)) as usize;
-                let key = Grounding::canonical_key(binding);
-                if idx == out.factor_rules.len() {
-                    out.factor_rules.push(rule.label.clone());
-                    out.factor_bindings.push(key);
-                } else {
-                    out.factor_rules[idx] = rule.label.clone();
-                    out.factor_bindings[idx] = key;
-                }
-            }
+    ) -> Option<u32> {
+        let vars: Vec<VarId> = rule
+            .head
+            .iter()
+            .map(|atom| self.materialize_atom(atom, binding, evidence, out))
+            .collect();
+        let RuleKind::Inference(op) = rule.kind else {
+            return None;
+        };
+        let kind = match op {
+            HeadOp::Imply => FactorKind::Imply,
+            HeadOp::And => FactorKind::And,
+            HeadOp::Or => FactorKind::Or,
+            HeadOp::IsTrue => FactorKind::IsTrue,
+        };
+        // `add_factor` may reuse a tombstoned slot; write the side
+        // tables at the returned index either way.
+        let idx = out.graph.add_factor(Factor::new(kind, vars, rule.weight));
+        let key = Grounding::canonical_key(binding);
+        if idx as usize == out.factor_rules.len() {
+            out.factor_rules.push(rule.label.clone());
+            out.factor_bindings.push(key);
+        } else {
+            out.factor_rules[idx as usize] = rule.label.clone();
+            out.factor_bindings[idx as usize] = key;
         }
+        Some(idx)
     }
 
     /// Resolves (creating on first sight) the ground atom of `atom` under
     /// `binding`.
     fn materialize_atom(
         &self,
-        atom: &sya_lang::CompiledAtom,
+        atom: &CompiledAtom,
         binding: &[Value],
         evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
         out: &mut Grounding,
     ) -> VarId {
-        let values: Vec<Value> = atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                SlotTerm::Slot(s) => binding[*s].clone(),
-                SlotTerm::Const(v) => v.clone(),
-                SlotTerm::Wildcard => Value::Null,
-            })
-            .collect();
+        let values = head_values(atom, binding);
         let key = (atom.relation.clone(), Grounding::canonical_key(&values));
         if let Some(&id) = out.atom_ids.get(&key) {
             return id;
@@ -619,10 +676,8 @@ impl<'p> Grounder<'p> {
             .and_then(|i| values.get(i))
             .and_then(|v| v.as_geom())
             .map(|g| g.representative_point());
-        let domain = match self.config.domains.get(&atom.relation) {
-            Some(&h) if h > 2 => Domain::Categorical(h),
-            _ => Domain::Binary,
-        };
+        let domain =
+            self.config.categorical(&atom.relation).map_or(Domain::Binary, Domain::Categorical);
         let name = format!("{}({})", atom.relation, Grounding::canonical_key(&values));
         let mut var = Variable {
             id: 0,
@@ -647,62 +702,21 @@ impl<'p> Grounder<'p> {
         id
     }
 
-    /// Evaluates a rule body, producing one binding row per match.
+    /// Evaluates a rule body under `seed`, producing one binding row per
+    /// match — the only body evaluator: the default seed is full
+    /// grounding, `rows` a delta pass, bound values a query.
     ///
     /// Atoms are processed left to right; each atom stage is a translated
     /// query (scan, hash equi-join via shared slots, or R-tree spatial
     /// join when a `distance(a, b) < r` condition links a bound slot to
     /// this atom's spatial column). Conditions apply at the earliest
     /// stage where all their slots are bound, cheapest class first
-    /// (Section IV-B heuristic re-ordering).
-    fn eval_body(
-        &mut self,
-        rule: &CompiledRule,
-        db: &mut Database,
-        out: &mut Grounding,
-    ) -> Result<Vec<Vec<Value>>, GroundError> {
-        self.eval_body_core(rule, db, out, None, None)
-    }
-
-    /// [`Self::eval_body`] with an optional *delta restriction*: when
-    /// `delta = Some((k, new_rows))`, body atom `k`'s candidates are
-    /// limited to the given new row ids of its relation — the semi-naive
-    /// delta pass of incremental grounding.
-    fn eval_body_delta(
-        &mut self,
-        rule: &CompiledRule,
-        db: &mut Database,
-        out: &mut Grounding,
-        delta: Option<(usize, &HashMap<String, Vec<usize>>)>,
-    ) -> Result<Vec<Vec<Value>>, GroundError> {
-        self.eval_body_core(rule, db, out, delta, None)
-    }
-
-    /// Public delta-restricted body evaluation: enumerates the bindings
-    /// of `rule` in which body atom `delta_atom` is limited to the
-    /// given row ids of its relation. Retraction uses this *before*
-    /// deleting rows to learn exactly which bindings the deleted rows
-    /// supported (the negative half of semi-naive delta evaluation).
-    pub fn eval_rule_delta(
-        &mut self,
-        rule: &CompiledRule,
-        db: &mut Database,
-        out: &mut Grounding,
-        delta_atom: usize,
-        rows: &HashMap<String, Vec<usize>>,
-    ) -> Result<Vec<Vec<Value>>, GroundError> {
-        self.eval_body_core(rule, db, out, Some((delta_atom, rows)), None)
-    }
-
-    /// Demand-driven (magic-sets) body evaluation: the seed's bound
-    /// values enter the binding row *before* the first body atom, so
-    /// probe strategies exploit them — a bound id turns the first atom
-    /// into a hash probe, a bound location turns a `distance()` join
-    /// into an R-tree probe around a known point, and a `within` seed
-    /// restricts the first-binding atom of a spatial slot to the R-tree
-    /// neighborhood of a fixed center. Returns the complete binding rows
-    /// consistent with the seed; pair with [`Self::apply_binding`] to
-    /// materialize only the query-relevant subgraph.
+    /// (Section IV-B heuristic re-ordering). Seeded slots count as bound
+    /// from the start: a bound id turns the first atom into a hash
+    /// probe, a bound location turns a `distance()` join into an R-tree
+    /// probe around a known point, and a `within` seed restricts the
+    /// first-binding atom of a spatial slot to the R-tree neighborhood
+    /// of a fixed center.
     pub fn eval_rule_seeded(
         &mut self,
         rule: &CompiledRule,
@@ -710,25 +724,18 @@ impl<'p> Grounder<'p> {
         out: &mut Grounding,
         seed: &BoundSeed,
     ) -> Result<Vec<Vec<Value>>, GroundError> {
-        self.eval_body_core(rule, db, out, None, Some(seed))
-    }
+        let seed_slots: BTreeSet<usize> = seed.values.iter().map(|(slot, _)| *slot).collect();
+        // A seeded value without a join key (a geometry) cannot drive a
+        // hash probe; the per-row equality check still applies to it.
+        let unkeyed: BTreeSet<usize> = seed
+            .values
+            .iter()
+            .filter(|(_, v)| v.join_key().is_none())
+            .map(|(slot, _)| *slot)
+            .collect();
 
-    fn eval_body_core(
-        &mut self,
-        rule: &CompiledRule,
-        db: &mut Database,
-        out: &mut Grounding,
-        delta: Option<(usize, &HashMap<String, Vec<usize>>)>,
-        seed: Option<&BoundSeed>,
-    ) -> Result<Vec<Vec<Value>>, GroundError> {
-        let n_slots = rule.slots.len();
-        let seed_slots: BTreeSet<usize> = seed
-            .map(|s| s.values.iter().map(|(slot, _)| *slot).collect())
-            .unwrap_or_default();
-
-        // Statically compute which slots are bound after each atom
-        // (seeded slots count as bound from the start) and where each
-        // free slot is first bound.
+        // Statically compute which slots are bound after each atom and
+        // where each free slot is first bound.
         let mut bound_after: Vec<BTreeSet<usize>> = Vec::with_capacity(rule.body.len());
         let mut first_binding: HashMap<usize, (usize, usize)> = HashMap::new(); // slot -> (atom, col)
         let mut acc: BTreeSet<usize> = seed_slots.clone();
@@ -747,16 +754,14 @@ impl<'p> Grounder<'p> {
         // A `within` seed pins the atom that first binds its slot to an
         // R-tree neighborhood of a fixed center.
         let within_probe: Option<(usize, SpatialProbe)> =
-            seed.and_then(|s| s.within.as_ref()).and_then(|&(slot, center, radius)| {
+            seed.within.and_then(|(slot, center, radius)| {
                 first_binding.get(&slot).map(|&(k, pos)| {
-                    (
-                        k,
-                        SpatialProbe {
-                            center: ProbeCenter::Fixed(center),
-                            new_col: pos,
-                            candidate_radius: radius,
-                        },
-                    )
+                    let probe = SpatialProbe {
+                        center: ProbeCenter::Fixed(center),
+                        new_col: pos,
+                        candidate_radius: radius,
+                    };
+                    (k, probe)
                 })
             });
 
@@ -776,11 +781,9 @@ impl<'p> Grounder<'p> {
         }
 
         // Iterate atoms, expanding partial bindings.
-        let mut initial = vec![Value::Null; n_slots];
-        if let Some(seed) = seed {
-            for (slot, value) in &seed.values {
-                initial[*slot] = value.clone();
-            }
+        let mut initial = vec![Value::Null; rule.slots.len()];
+        for (slot, value) in &seed.values {
+            initial[*slot] = value.clone();
         }
         let mut bindings: Vec<Vec<Value>> = vec![initial];
         for (k, atom) in rule.body.iter().enumerate() {
@@ -790,20 +793,18 @@ impl<'p> Grounder<'p> {
             }
 
             // Pre-extract probe strategies for this atom.
-            let bound_before: BTreeSet<usize> = if k == 0 {
-                seed_slots.clone()
-            } else {
-                bound_after[k - 1].clone()
-            };
+            let bound_before = if k == 0 { &seed_slots } else { &bound_after[k - 1] };
             let spatial_probe = self
-                .find_spatial_probe(rule, &conds_at[k], atom, &bound_before)
+                .find_spatial_probe(rule, &conds_at[k], atom, bound_before)
                 .or(match &within_probe {
                     Some((wk, probe)) if *wk == k => Some(*probe),
                     _ => None,
                 });
             let eq_probe: Option<(usize, usize)> = atom.terms.iter().enumerate().find_map(
                 |(pos, t)| match t {
-                    SlotTerm::Slot(s) if bound_before.contains(s) => Some((*s, pos)),
+                    SlotTerm::Slot(s) if bound_before.contains(s) && !unkeyed.contains(s) => {
+                        Some((*s, pos))
+                    }
                     _ => None,
                 },
             );
@@ -818,22 +819,37 @@ impl<'p> Grounder<'p> {
                 },
                 1,
             );
+            // The row restriction of a delta pass, sorted once per stage.
+            let allowed: Option<Vec<usize>> = match &seed.rows {
+                Some((rk, rows)) if *rk == k => {
+                    let mut rows = rows.clone();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    Some(rows)
+                }
+                _ => None,
+            };
 
             // Ensure indexes exist before the per-binding loop.
-            if let Some(probe) = &spatial_probe {
-                let table = db.table_mut(&atom.relation)?;
-                let col_name = table.schema().columns()[probe.new_col].name.clone();
-                table.spatial_index(&col_name)?;
-            }
-            if spatial_probe.is_none() {
-                if let Some((_, pos)) = eq_probe {
-                    self.ensure_hash_index(db, &atom.relation, pos)?;
+            let table = db.table_mut(&atom.relation)?;
+            let spatial_probe = match spatial_probe {
+                Some(probe) => {
+                    let col_name = table.schema().columns()[probe.new_col].name.clone();
+                    table.spatial_index(&col_name)?;
+                    Some((probe, col_name))
                 }
-            }
+                None => {
+                    if let Some((_, pos)) = eq_probe {
+                        table.ensure_hash_index(pos);
+                    }
+                    None
+                }
+            };
 
             let mut next: Vec<Vec<Value>> = Vec::new();
             for binding in &bindings {
-                let candidates: Vec<usize> = if let Some(probe) = &spatial_probe {
+                let probed: Vec<usize>;
+                let candidates: &[usize] = if let Some((probe, col_name)) = &spatial_probe {
                     let center = match probe.center {
                         ProbeCenter::Fixed(p) => p,
                         ProbeCenter::Slot(slot) => match binding[slot].as_geom() {
@@ -841,38 +857,32 @@ impl<'p> Grounder<'p> {
                             None => continue,
                         },
                     };
-                    let table = db.table_mut(&atom.relation)?;
-                    let col_name = table.schema().columns()[probe.new_col].name.clone();
-                    table
-                        .rows_within_distance(&col_name, &center, probe.candidate_radius)?
+                    probed = db.table_mut(&atom.relation)?.rows_within_distance(
+                        col_name,
+                        &center,
+                        probe.candidate_radius,
+                    )?;
+                    &probed
                 } else if let Some((slot, pos)) = eq_probe {
                     match binding[slot].join_key() {
-                        None => Vec::new(),
-                        Some(key) => self
-                            .hash_indexes
-                            .get(&(atom.relation.clone(), pos))
-                            .and_then(|idx| idx.get(&key))
-                            .cloned()
-                            .unwrap_or_default(),
+                        None => &[],
+                        Some(key) => db.table(&atom.relation)?.rows_with_key(pos, &key),
                     }
+                } else if let Some(rows) = &allowed {
+                    rows
                 } else {
-                    (0..db.table(&atom.relation)?.len()).collect()
-                };
-                // Delta restriction on this atom.
-                let candidates: Vec<usize> = match delta {
-                    Some((dk, new_rows)) if dk == k => {
-                        let allowed = new_rows
-                            .get(&atom.relation)
-                            .map(|v| v.iter().copied().collect::<BTreeSet<_>>())
-                            .unwrap_or_default();
-                        candidates.into_iter().filter(|r| allowed.contains(r)).collect()
-                    }
-                    _ => candidates,
+                    probed = (0..db.table(&atom.relation)?.len()).collect();
+                    &probed
                 };
 
                 let table = db.table(&atom.relation)?;
-                'cand: for rid in candidates {
-                    let row = &table.rows()[rid];
+                'cand: for &rid in candidates {
+                    if allowed.as_ref().is_some_and(|a| a.binary_search(&rid).is_err()) {
+                        continue;
+                    }
+                    let Some(row) = table.rows().get(rid) else {
+                        continue; // a restriction naming a row the table lacks
+                    };
                     // Check constants and already-bound slots.
                     for (pos, t) in atom.terms.iter().enumerate() {
                         match t {
@@ -919,34 +929,13 @@ impl<'p> Grounder<'p> {
         Ok(bindings)
     }
 
-    fn ensure_hash_index(
-        &mut self,
-        db: &Database,
-        relation: &str,
-        col: usize,
-    ) -> Result<(), GroundError> {
-        let key = (relation.to_owned(), col);
-        if self.hash_indexes.contains_key(&key) {
-            return Ok(());
-        }
-        let table = db.table(relation)?;
-        let mut idx: HashMap<sya_store::JoinKey, Vec<usize>> = HashMap::new();
-        for (rid, row) in table.rows().iter().enumerate() {
-            if let Some(k) = row[col].join_key() {
-                idx.entry(k).or_default().push(rid);
-            }
-        }
-        self.hash_indexes.insert(key, idx);
-        Ok(())
-    }
-
     /// Detects a `distance(bound, new) < r` (or mirrored) condition that
     /// lets this atom be fetched via the R-tree instead of a full scan.
     fn find_spatial_probe(
         &self,
         rule: &CompiledRule,
         stage_conds: &[usize],
-        atom: &sya_lang::CompiledAtom,
+        atom: &CompiledAtom,
         bound_before: &BTreeSet<usize>,
     ) -> Option<SpatialProbe> {
         // Map slot -> column position in this atom (new bindings only).
@@ -983,33 +972,22 @@ impl<'p> Grounder<'p> {
     /// threshold `T` (Section IV-C). When `new_only` is given, only pairs
     /// with at least one endpoint in that set are emitted (incremental
     /// grounding: old–old pairs already exist).
+    ///
+    /// Budget / interruption checkpoints run every
+    /// [`SPATIAL_CHECKPOINT_INTERVAL`] factors — the pair loop is where a
+    /// bad radius produces the quadratic factor blow-up, so waiting for
+    /// the end of the relation is too late.
     fn ground_spatial_factors(
         &mut self,
         out: &mut Grounding,
-        new_only: Option<&std::collections::HashSet<VarId>>,
-    ) -> Result<(), GroundError> {
-        self.ground_spatial_factors_with(out, new_only, &ExecContext::unbounded())
-    }
-
-    /// [`Self::ground_spatial_factors`] with budget / interruption
-    /// checkpoints every [`SPATIAL_CHECKPOINT_INTERVAL`] candidate pairs —
-    /// the pair loop is where a bad radius produces the quadratic factor
-    /// blow-up, so waiting for the end of the relation is too late.
-    fn ground_spatial_factors_with(
-        &mut self,
-        out: &mut Grounding,
-        new_only: Option<&std::collections::HashSet<VarId>>,
+        new_only: Option<&HashSet<VarId>>,
         ctx: &ExecContext,
     ) -> Result<(), GroundError> {
-        let spatial_relations: Vec<(String, String)> = self
-            .program
-            .spatial_variable_relations()
-            .map(|(s, w)| (s.name.clone(), w.to_owned()))
-            .collect();
-
-        for (relation, wname) in spatial_relations {
+        let program = self.program;
+        for (schema, wname) in program.spatial_variable_relations() {
+            let relation = &schema.name;
             let atoms: Vec<(VarId, Point)> = out
-                .atoms_of(&relation)
+                .atoms_of(relation)
                 .iter()
                 .filter_map(|&id| out.graph.variable(id).location.map(|p| (id, p)))
                 .collect();
@@ -1021,34 +999,14 @@ impl<'p> Grounder<'p> {
                 .obs
                 .span_with("ground.spatial", vec![("relation".to_string(), relation.clone())]);
 
-            let bandwidth = self
+            let params = self
                 .config
-                .weighting_bandwidth
-                .unwrap_or_else(|| default_bandwidth(&atoms, self.config.metric));
-            let wfn = WeightingFn::by_name(&wname, self.config.weighting_scale, bandwidth)
-                .ok_or_else(|| GroundError::UnknownWeighting(wname.clone()))?;
-            // Default cutoff: where the weight becomes negligible, but
-            // never beyond 3.5 bandwidths — beyond that the factors are
-            // numerous and individually irrelevant (graph-size guard).
-            let radius = self
-                .config
-                .spatial_radius
-                .unwrap_or_else(|| negligible_radius(&wfn, bandwidth).min(3.5 * bandwidth));
+                .spatial_params(wname, || default_bandwidth(&atoms, self.config.metric))?;
+            let radius = params.radius;
 
             // Categorical pruning set.
-            let h = self
-                .config
-                .domains
-                .get(&relation)
-                .copied()
-                .filter(|&h| h > 2);
-            let allowed: Option<Vec<(u32, u32)>> = h.map(|h| {
-                let stats = build_cooccurrence(
-                    &out.graph,
-                    &atoms,
-                    radius,
-                    self.config.metric,
-                );
+            let allowed: Option<Vec<(u32, u32)>> = self.config.categorical(relation).map(|h| {
+                let stats = build_cooccurrence(&out.graph, &atoms, radius, self.config.metric);
                 let (pairs, pruned) =
                     allowed_domain_pairs(&stats, h, self.config.pruning_threshold);
                 out.stats.pruned_domain_pairs += pruned;
@@ -1059,7 +1017,7 @@ impl<'p> Grounder<'p> {
             // of side `radius` that holds >= 3 atoms.
             if let Some(scale) = self.config.region_factor_scale {
                 if new_only.is_none() {
-                    self.ground_region_factors(out, &atoms, radius, &wfn, scale);
+                    self.ground_region_factors(out, &atoms, radius, &params.wfn, scale);
                 }
             }
 
@@ -1090,42 +1048,97 @@ impl<'p> Grounder<'p> {
                     if other <= id {
                         continue; // each unordered pair once
                     }
-                    if let Some(new) = new_only {
-                        if !new.contains(&id) && !new.contains(&other) {
-                            continue; // pair already grounded
-                        }
+                    if new_only.is_some_and(|new| !new.contains(&id) && !new.contains(&other)) {
+                        continue; // pair already grounded
                     }
                     // Only located atoms are indexed; a missing location
                     // would be an index bug — skip rather than panic.
                     let Some(q) = out.graph.variable(other).location else {
                         continue;
                     };
-                    let d = metric_distance(self.config.metric, &p, &q);
-                    if d > radius {
-                        continue;
-                    }
-                    let w = wfn.weight(d);
-                    if w < WeightingFn::NEGLIGIBLE {
-                        continue;
-                    }
-                    match &allowed {
-                        None => {
-                            out.graph.add_spatial_factor(SpatialFactor::binary(id, other, w));
-                        }
-                        Some(pairs) => {
-                            for &(ta, tb) in pairs {
-                                out.graph.add_spatial_factor(SpatialFactor::categorical(
-                                    id, other, w, ta, tb,
-                                ));
-                            }
-                        }
-                    }
+                    self.config.emit_spatial_pair(
+                        &mut out.graph,
+                        &params,
+                        (id, p),
+                        (other, q),
+                        allowed.as_deref(),
+                    );
                 }
             }
             span.set_attr("radius", format!("{radius:.4}"));
             span.set_attr("factors", out.graph.num_spatial_factors() - factors_before);
         }
         Ok(())
+    }
+}
+
+/// The weighting function and neighbour cutoff of one `@spatial`
+/// relation, resolved by [`GroundConfig::spatial_params`].
+#[derive(Debug, Clone)]
+pub struct SpatialParams {
+    pub wfn: WeightingFn,
+    pub radius: f64,
+}
+
+impl GroundConfig {
+    /// Domain size of `relation` when it is categorical (more than two
+    /// values).
+    pub fn categorical(&self, relation: &str) -> Option<u32> {
+        self.domains.get(relation).copied().filter(|&h| h > 2)
+    }
+
+    /// Resolves the spatial-factor parameters of a relation weighted by
+    /// the function named `wname`. Explicit config wins; otherwise the
+    /// bandwidth comes from `derive_bandwidth` (a tenth of the data
+    /// extent — the atom cloud for full grounding, the base table for
+    /// demand grounding) and the radius is where the weight becomes
+    /// negligible, but never beyond 3.5 bandwidths — beyond that the
+    /// factors are numerous and individually irrelevant.
+    pub fn spatial_params(
+        &self,
+        wname: &str,
+        derive_bandwidth: impl FnOnce() -> f64,
+    ) -> Result<SpatialParams, GroundError> {
+        let bandwidth = self.weighting_bandwidth.unwrap_or_else(derive_bandwidth);
+        let wfn = WeightingFn::by_name(wname, self.weighting_scale, bandwidth)
+            .ok_or_else(|| GroundError::UnknownWeighting(wname.to_owned()))?;
+        let radius = self
+            .spatial_radius
+            .unwrap_or_else(|| negligible_radius(&wfn, bandwidth).min(3.5 * bandwidth));
+        Ok(SpatialParams { wfn, radius })
+    }
+
+    /// Adds the spatial factor(s) of one located atom pair: nothing
+    /// beyond the cutoff radius or below the negligible weight; else one
+    /// binary factor, or for a categorical relation one factor per
+    /// allowed domain-value pair. Returns whether the pair was in reach.
+    pub fn emit_spatial_pair(
+        &self,
+        graph: &mut FactorGraph,
+        params: &SpatialParams,
+        (a, p): (VarId, Point),
+        (b, q): (VarId, Point),
+        domain_pairs: Option<&[(u32, u32)]>,
+    ) -> bool {
+        let d = metric_distance(self.metric, &p, &q);
+        if d > params.radius {
+            return false;
+        }
+        let w = params.wfn.weight(d);
+        if w < WeightingFn::NEGLIGIBLE {
+            return false;
+        }
+        match domain_pairs {
+            None => {
+                graph.add_spatial_factor(SpatialFactor::binary(a, b, w));
+            }
+            Some(pairs) => {
+                for &(ta, tb) in pairs {
+                    graph.add_spatial_factor(SpatialFactor::categorical(a, b, w, ta, tb));
+                }
+            }
+        }
+        true
     }
 }
 
@@ -1275,20 +1288,17 @@ pub fn default_bandwidth(atoms: &[(VarId, Point)], metric: DistanceMetric) -> f6
 }
 
 /// Matches `distance(Col(a), Col(b)) < r` (and `<=`, and the mirrored
-/// literal-first forms), returning `(a, b, r)`.
+/// literal-first forms `r > distance(..)`, `r >= distance(..)`),
+/// returning `(a, b, r)`.
 fn distance_lt_pattern(e: &Expr) -> Option<(usize, usize, f64)> {
-    let (lhs, rhs, flipped) = match e {
-        Expr::Bin(BinOp::Lt | BinOp::Le, l, r) => (l.as_ref(), r.as_ref(), false),
-        Expr::Bin(BinOp::Gt | BinOp::Ge, l, r) => (r.as_ref(), l.as_ref(), true),
+    let (call, lit) = match e {
+        Expr::Bin(BinOp::Lt | BinOp::Le, l, r) => (l.as_ref(), r.as_ref()),
+        Expr::Bin(BinOp::Gt | BinOp::Ge, l, r) => (r.as_ref(), l.as_ref()),
         _ => return None,
     };
-    let _ = flipped;
-    let (call, lit) = (lhs, rhs);
     if let Expr::Spatial(SpatialFn::Distance, _, a, b) = call {
         if let (Expr::Col(i), Expr::Col(j), Expr::Lit(v)) = (a.as_ref(), b.as_ref(), lit) {
-            if let Some(r) = v.as_f64() {
-                return Some((*i, *j, r));
-            }
+            return v.as_f64().map(|r| (*i, *j, r));
         }
     }
     None
@@ -1432,12 +1442,10 @@ mod tests {
         let mut g = Grounder::new(&compiled, GroundConfig::default());
         let mut out = Grounding::new_empty();
         let rule = &compiled.rules[0];
-        let a = sya_lang::adorn_rule(rule, 0, 0, &[0]).unwrap();
-        let slot = a.slot_of_arg[0].1;
-        let seed = BoundSeed::slot(slot, Value::Int(3));
+        let seed = unify_head(&rule.head[0], &[Value::Int(3)]).unwrap();
         let bindings = g.eval_rule_seeded(rule, &mut db, &mut out, &seed).unwrap();
         assert_eq!(bindings.len(), 1);
-        assert_eq!(bindings[0][slot], Value::Int(3));
+        assert_eq!(head_values(&rule.head[0], &bindings[0])[0], Value::Int(3));
     }
 
     #[test]
@@ -1449,13 +1457,16 @@ mod tests {
         let mut out = Grounding::new_empty();
         let rule = &compiled.rules[0];
         // Head arg 1 is the location slot.
-        let a = sya_lang::adorn_rule(rule, 0, 0, &[1]).unwrap();
-        let loc_slot = a.slot_of_arg[0].1;
-        let seed = BoundSeed::within(loc_slot, Point::new(5.0, 0.0), 1.2);
-        let mut bindings = g.eval_rule_seeded(rule, &mut db, &mut out, &seed).unwrap();
-        let id_slot = sya_lang::adorn_rule(rule, 0, 0, &[0]).unwrap().slot_of_arg[0].1;
-        let mut ids: Vec<i64> =
-            bindings.drain(..).filter_map(|b| b[id_slot].as_int()).collect();
+        let SlotTerm::Slot(loc_slot) = rule.head[0].terms[1] else { panic!("slot term") };
+        let seed = BoundSeed {
+            within: Some((loc_slot, Point::new(5.0, 0.0), 1.2)),
+            ..BoundSeed::default()
+        };
+        let bindings = g.eval_rule_seeded(rule, &mut db, &mut out, &seed).unwrap();
+        let mut ids: Vec<i64> = bindings
+            .iter()
+            .filter_map(|b| head_values(&rule.head[0], b)[0].as_int())
+            .collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![4, 5, 6]);
     }
@@ -1468,15 +1479,13 @@ mod tests {
         let mut g = Grounder::new(&compiled, GroundConfig::default());
         let mut out = Grounding::new_empty();
         let rule = &compiled.rules[1];
-        let a = sya_lang::adorn_rule(rule, 1, 0, &[0]).unwrap();
-        let w1_slot = a.slot_of_arg[0].1;
-        let seed = BoundSeed::slot(w1_slot, Value::Int(2));
+        let seed = unify_head(&rule.head[0], &[Value::Int(2)]).unwrap();
         let bindings = g.eval_rule_seeded(rule, &mut db, &mut out, &seed).unwrap();
         // Wells 0..4 satisfy arsenic < 0.2; partners of well 2 at
         // distance < 3, excluding itself: {0, 1, 3, 4}.
         assert_eq!(bindings.len(), 4);
         for b in &bindings {
-            assert_eq!(b[w1_slot], Value::Int(2));
+            assert_eq!(head_values(&rule.head[0], b)[0], Value::Int(2));
         }
     }
 
@@ -1587,47 +1596,7 @@ mod tests {
             .unwrap();
 
         assert_eq!(new_vars.len(), 3);
-        assert_eq!(out.graph.num_variables(), full.graph.num_variables());
-        assert_eq!(out.graph.num_factors(), full.graph.num_factors());
-        assert_eq!(out.graph.num_spatial_factors(), full.graph.num_spatial_factors());
-        // Factor multisets agree (kind, sorted names of vars, weight).
-        let sig = |g: &Grounding| {
-            let mut v: Vec<String> = g
-                .graph
-                .factors()
-                .iter()
-                .map(|f| {
-                    let mut names: Vec<&str> = f
-                        .vars
-                        .iter()
-                        .map(|&v| g.graph.variable(v).name.as_str())
-                        .collect();
-                    names.sort_unstable();
-                    format!("{:?}|{}|{}", f.kind, names.join(","), f.weight)
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(sig(&out), sig(&full));
-        let spatial_sig = |g: &Grounding| {
-            let mut v: Vec<String> = g
-                .graph
-                .spatial_factors()
-                .iter()
-                .map(|f| {
-                    let (a, b) = (
-                        g.graph.variable(f.a).name.clone(),
-                        g.graph.variable(f.b).name.clone(),
-                    );
-                    let (a, b) = if a <= b { (a, b) } else { (b, a) };
-                    format!("{a}|{b}|{:.9}", f.weight)
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(spatial_sig(&out), spatial_sig(&full));
+        assert_eq!(out.signature(), full.signature());
     }
 
     #[test]
@@ -1718,7 +1687,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_rule_delta_enumerates_bindings_of_given_rows() {
+    fn row_restricted_seed_enumerates_bindings_of_given_rows() {
         let program = parse_program(SRC).unwrap();
         let compiled =
             compile(&program, &GeomConstants::new(), DistanceMetric::Euclidean).unwrap();
@@ -1730,10 +1699,21 @@ mod tests {
         // arsenic: wells 0, 1, 3, 4).
         let rule = &compiled.rules[1];
         let rows = HashMap::from([("Well".to_owned(), vec![2usize])]);
-        let bindings = grounder
-            .eval_rule_delta(rule, &mut db, &mut out, 0, &rows)
-            .unwrap();
+        let seeds = delta_seeds(rule, &rows);
+        assert_eq!(seeds.len(), 2, "one pass per body atom over the changed relation");
+        let bindings = grounder.eval_rule_seeded(rule, &mut db, &mut out, &seeds[0]).unwrap();
         assert_eq!(bindings.len(), 4);
+        // The loop drops the match the second pass finds again: well 2
+        // pairs with each of its four partners in both positions.
+        let mut seen = HashSet::new();
+        let mut n = 0;
+        grounder
+            .ground_rule(rule, &mut db, &mut out, &seeds, Some(&mut seen), |_, _, _| {
+                n += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(n, 8);
     }
 
     #[test]
@@ -1911,6 +1891,38 @@ mod tests {
     }
 
     #[test]
+    fn unify_head_inverts_head_values() {
+        let src = r#"
+        A(id bigint, tag text).
+        Y?(id bigint, tag text, twin bigint).
+        R1: Y(X, "t", X) :- A(X, _).
+        "#;
+        let program = parse_program(src).unwrap();
+        let compiled =
+            compile(&program, &GeomConstants::new(), DistanceMetric::Euclidean).unwrap();
+        let head = &compiled.rules[0].head[0];
+        let atom = [Value::Int(4), Value::from("t"), Value::Int(4)];
+        let seed = unify_head(head, &atom).expect("the head can produce the atom");
+        assert_eq!(seed.values.len(), 1, "a repeated slot binds once");
+        let mut binding = vec![Value::Null; compiled.rules[0].slots.len()];
+        binding[seed.values[0].0] = seed.values[0].1.clone();
+        assert_eq!(head_values(head, &binding), atom);
+        // The constant disagrees; the repeated slot would need two values.
+        assert!(unify_head(head, &[Value::Int(4), Value::from("u"), Value::Int(4)]).is_none());
+        assert!(unify_head(head, &[Value::Int(4), Value::from("t"), Value::Int(5)]).is_none());
+        // A bound prefix: the query knows the id only.
+        assert_eq!(unify_head(head, &[Value::Int(4)]).unwrap().values.len(), 1);
+        // A wildcard (the validator rejects one in a head, the compiled
+        // form can hold it) materializes as NULL and nothing else.
+        let wild = CompiledAtom {
+            relation: "Y".to_owned(),
+            terms: vec![SlotTerm::Slot(0), SlotTerm::Wildcard],
+        };
+        assert!(unify_head(&wild, &[Value::Int(4), Value::Null]).is_some());
+        assert!(unify_head(&wild, &[Value::Int(4), Value::from("t")]).is_none());
+    }
+
+    #[test]
     fn distance_pattern_matcher() {
         use sya_store::Expr;
         let e = Expr::bin(
@@ -1925,6 +1937,24 @@ mod tests {
             Expr::distance(Expr::col(1), Expr::col(3)),
         );
         assert_eq!(distance_lt_pattern(&mirrored), Some((1, 3, 150.0)));
+        let mirrored_le = Expr::bin(
+            BinOp::Ge,
+            Expr::lit(150.0),
+            Expr::distance(Expr::col(3), Expr::col(1)),
+        );
+        assert_eq!(distance_lt_pattern(&mirrored_le), Some((3, 1, 150.0)));
+        // A lower bound on the distance is no range probe, either way
+        // round.
+        for op in [BinOp::Gt, BinOp::Ge] {
+            let far = Expr::bin(op, Expr::distance(Expr::col(1), Expr::col(3)), Expr::lit(50.0));
+            assert_eq!(distance_lt_pattern(&far), None);
+        }
+        let far_mirrored = Expr::bin(
+            BinOp::Lt,
+            Expr::lit(50.0),
+            Expr::distance(Expr::col(1), Expr::col(3)),
+        );
+        assert_eq!(distance_lt_pattern(&far_mirrored), None);
         let not_distance = Expr::bin(BinOp::Lt, Expr::col(0), Expr::lit(1.0));
         assert_eq!(distance_lt_pattern(&not_distance), None);
     }

@@ -27,8 +27,9 @@ pub mod translator;
 
 pub use cellmap::{pyramid_bounds, pyramid_cell_map, CellVariableMap};
 pub use grounder::{
-    candidate_radius, default_bandwidth, metric_distance, negligible_radius, BoundSeed,
-    GroundConfig, Grounder, Grounding, GroundingStats, HashIndexCache,
+    candidate_radius, default_bandwidth, delta_seeds, head_values, metric_distance,
+    negligible_radius, unify_head, BoundSeed, GroundConfig, Grounder, Grounding, GroundingStats,
+    SpatialParams,
 };
 pub use pruning::{allowed_domain_pairs, build_cooccurrence};
 pub use stepfn::{expand_step_function_rules, StepFunctionSpec};

@@ -40,7 +40,6 @@
 //! assert_eq!(program.rules().count(), 2);
 //! ```
 
-pub mod adorn;
 pub mod ast;
 pub mod compile;
 pub mod lexer;
@@ -49,7 +48,6 @@ pub mod printer;
 pub mod udf;
 pub mod validate;
 
-pub use adorn::{adorn_program, adorn_rule, RuleAdornment};
 pub use ast::{
     Annotation, Atom, BodyAtom, CExpr, CmpOp, HeadOp, Literal, Program, Rule, RuleHead,
     SchemaDecl, SpatialFnName, Term,

@@ -4,14 +4,14 @@
 use crate::{BoundaryPolicy, QueryConfig, QueryError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
-use sya_fg::{SpatialFactor, VarId, WeightingFn};
+use sya_fg::VarId;
 use sya_geom::{Point, Rect};
 use sya_ground::{
-    candidate_radius, metric_distance, negligible_radius, BoundSeed, GroundConfig, GroundError,
-    Grounder, Grounding, HashIndexCache,
+    candidate_radius, metric_distance, unify_head, BoundSeed, GroundConfig, Grounder, Grounding,
+    SpatialParams,
 };
 use sya_infer::{spatial_gibbs_with, MarginalCounts, PyramidIndex};
-use sya_lang::{adorn_rule, CompiledProgram, RuleKind, SlotTerm};
+use sya_lang::{CompiledAtom, CompiledProgram, CompiledRule, RuleKind, SlotTerm};
 use sya_runtime::{ExecContext, Phase, ResourceUsage, RunOutcome};
 use sya_store::{Database, Value};
 
@@ -101,29 +101,18 @@ pub struct QueryAnswer {
     pub warnings: Vec<String>,
 }
 
-/// Answers bound marginal queries by demand-grounding. Owns its program
-/// and carries the grounding layer's hash-index cache across queries
-/// (valid as long as the input tables are unchanged — call
-/// [`Self::invalidate_indexes`] after mutating them).
+/// Answers bound marginal queries by demand-grounding. Owns its program;
+/// the join indexes its probes use live in the tables, which drop them
+/// when they are mutated.
 pub struct QueryGrounder {
     program: CompiledProgram,
     ground: GroundConfig,
     config: QueryConfig,
-    hash_indexes: HashIndexCache,
-    /// Per-relation derived weighting bandwidth (when the ground config
-    /// does not pin one).
-    bandwidths: HashMap<String, f64>,
 }
 
 impl QueryGrounder {
     pub fn new(program: CompiledProgram, ground: GroundConfig, config: QueryConfig) -> Self {
-        QueryGrounder {
-            program,
-            ground,
-            config,
-            hash_indexes: HashMap::new(),
-            bandwidths: HashMap::new(),
-        }
+        QueryGrounder { program, ground, config }
     }
 
     pub fn config(&self) -> &QueryConfig {
@@ -132,13 +121,6 @@ impl QueryGrounder {
 
     pub fn program(&self) -> &CompiledProgram {
         &self.program
-    }
-
-    /// Drops the carried hash indexes and derived bandwidths. Must be
-    /// called after any mutation of the input tables.
-    pub fn invalidate_indexes(&mut self) {
-        self.hash_indexes.clear();
-        self.bandwidths.clear();
     }
 
     /// Answers `marginal(relation, id)` — the full lazy path: seed,
@@ -202,21 +184,16 @@ impl QueryGrounder {
             }
         }
         let spatial = self.spatial_params(db)?;
-        let mut grounder = Grounder::new(&self.program, self.ground.clone());
-        grounder.set_hash_indexes(std::mem::take(&mut self.hash_indexes));
-        let result = ground_closure(
+        let mut nh = ground_closure(
             &self.program,
             &self.ground,
             &self.config,
-            &mut grounder,
             &spatial,
             db,
             evidence,
             targets,
             ctx,
-        );
-        self.hash_indexes = grounder.take_hash_indexes();
-        let mut nh = result?;
+        )?;
         nh.ground_time = start.elapsed();
         Ok(nh)
     }
@@ -224,49 +201,16 @@ impl QueryGrounder {
     /// Runs the restricted chain on a grounded neighborhood and reads the
     /// seed's marginal. Evidence seeds skip the chain entirely.
     pub fn answer(&self, nh: &Neighborhood, ctx: &ExecContext) -> Result<QueryAnswer, QueryError> {
-        let graph = &nh.grounding.graph;
-        let var = graph.variable(nh.seed);
-        let mut stats = QueryStats {
-            variables: graph.num_variables(),
-            logical_factors: graph.num_factors(),
-            spatial_factors: graph.num_spatial_factors(),
+        let seed = SeedAtom { relation: nh.relation.clone(), id: nh.id, var: nh.seed };
+        let closure = Closure {
+            grounding: &nh.grounding,
             boundary_clamped: nh.boundary_clamped,
-            sampled: false,
+            outcome: nh.outcome,
             ground_time: nh.ground_time,
-            infer_time: Duration::ZERO,
+            warnings: &nh.warnings,
         };
-        if let Some(e) = var.evidence {
-            let h = var.domain.cardinality();
-            let score = if h == 2 { e as f64 } else { f64::from(e >= h / 2) };
-            return Ok(QueryAnswer {
-                relation: nh.relation.clone(),
-                id: nh.id,
-                score,
-                evidence: Some(e),
-                stats,
-                outcome: nh.outcome,
-                warnings: nh.warnings.clone(),
-            });
-        }
-
-        let start = Instant::now();
-        let pyramid =
-            PyramidIndex::build(graph, self.config.infer.levels, self.config.infer.cell_capacity);
-        let run = spatial_gibbs_with(graph, &pyramid, &self.config.infer, ctx)?;
-        stats.sampled = true;
-        stats.infer_time = start.elapsed();
-        let score = seed_score(&run.counts, nh.seed, var.domain.cardinality());
-        let mut warnings = nh.warnings.clone();
-        warnings.extend(run.warnings);
-        Ok(QueryAnswer {
-            relation: nh.relation.clone(),
-            id: nh.id,
-            score,
-            evidence: None,
-            stats,
-            outcome: nh.outcome.combine(run.outcome),
-            warnings,
-        })
+        let mut answers = self.answer_seeds(closure, &[seed], ctx)?;
+        Ok(answers.pop().expect("one answer per seed"))
     }
 
     /// Runs at most one restricted chain over a union neighborhood and
@@ -276,6 +220,22 @@ impl QueryGrounder {
     pub fn answer_batch(
         &self,
         nh: &BatchNeighborhood,
+        ctx: &ExecContext,
+    ) -> Result<Vec<QueryAnswer>, QueryError> {
+        let closure = Closure {
+            grounding: &nh.grounding,
+            boundary_clamped: nh.boundary_clamped,
+            outcome: nh.outcome,
+            ground_time: nh.ground_time,
+            warnings: &nh.warnings,
+        };
+        self.answer_seeds(closure, &nh.seeds, ctx)
+    }
+
+    fn answer_seeds(
+        &self,
+        nh: Closure<'_>,
+        seeds: &[SeedAtom],
         ctx: &ExecContext,
     ) -> Result<Vec<QueryAnswer>, QueryError> {
         let graph = &nh.grounding.graph;
@@ -288,11 +248,9 @@ impl QueryGrounder {
             ground_time: nh.ground_time,
             infer_time: Duration::ZERO,
         };
-        let needs_chain =
-            nh.seeds.iter().any(|s| graph.variable(s.var).evidence.is_none());
         let mut run = None;
         let mut infer_time = Duration::ZERO;
-        if needs_chain {
+        if seeds.iter().any(|s| graph.variable(s.var).evidence.is_none()) {
             let start = Instant::now();
             let pyramid = PyramidIndex::build(
                 graph,
@@ -302,39 +260,30 @@ impl QueryGrounder {
             run = Some(spatial_gibbs_with(graph, &pyramid, &self.config.infer, ctx)?);
             infer_time = start.elapsed();
         }
-        let mut answers = Vec::with_capacity(nh.seeds.len());
-        for s in &nh.seeds {
+        let mut answers = Vec::with_capacity(seeds.len());
+        for s in seeds {
             let var = graph.variable(s.var);
-            if let Some(e) = var.evidence {
-                let h = var.domain.cardinality();
-                let score = if h == 2 { e as f64 } else { f64::from(e >= h / 2) };
-                answers.push(QueryAnswer {
-                    relation: s.relation.clone(),
-                    id: s.id,
-                    score,
-                    evidence: Some(e),
-                    stats: base.clone(),
-                    outcome: nh.outcome,
-                    warnings: nh.warnings.clone(),
-                });
-                continue;
-            }
-            let run = run.as_ref().expect("chain ran: non-evidence seed present");
-            let score = seed_score(&run.counts, s.var, var.domain.cardinality());
-            let mut stats = base.clone();
-            stats.sampled = true;
-            stats.infer_time = infer_time;
-            let mut warnings = nh.warnings.clone();
-            warnings.extend(run.warnings.iter().cloned());
-            answers.push(QueryAnswer {
+            let h = var.domain.cardinality();
+            let mut answer = QueryAnswer {
                 relation: s.relation.clone(),
                 id: s.id,
-                score,
-                evidence: None,
-                stats,
-                outcome: nh.outcome.combine(run.outcome),
-                warnings,
-            });
+                score: 0.0,
+                evidence: var.evidence,
+                stats: base.clone(),
+                outcome: nh.outcome,
+                warnings: nh.warnings.to_vec(),
+            };
+            if let Some(e) = var.evidence {
+                answer.score = if h == 2 { e as f64 } else { f64::from(e >= h / 2) };
+            } else {
+                let run = run.as_ref().expect("chain ran: non-evidence seed present");
+                answer.score = seed_score(&run.counts, s.var, h);
+                answer.stats.sampled = true;
+                answer.stats.infer_time = infer_time;
+                answer.warnings.extend(run.warnings.iter().cloned());
+                answer.outcome = nh.outcome.combine(run.outcome);
+            }
+            answers.push(answer);
         }
         Ok(answers)
     }
@@ -343,48 +292,36 @@ impl QueryGrounder {
     /// variable relations — the interaction horizon a single located row
     /// can reach. Serving layers use it as the invalidation margin when
     /// deciding which cached neighborhoods a row update may intersect.
-    pub fn max_factor_radius(&mut self, db: &Database) -> Result<f64, QueryError> {
-        Ok(self.spatial_params(db)?.values().fold(0.0, |m, &(_, r)| m.max(r)))
+    pub fn max_factor_radius(&self, db: &Database) -> Result<f64, QueryError> {
+        Ok(self.spatial_params(db)?.values().fold(0.0, |m, p| m.max(p.radius)))
     }
 
-    /// Per-spatial-relation `(weighting fn, factor radius)` with the same
-    /// defaulting rules as the full grounder: explicit config wins;
-    /// otherwise the bandwidth is a tenth of the spatial extent (derived
-    /// here from the relation's *base table* rather than the atom cloud,
-    /// which demand grounding never materializes) and the radius is the
-    /// negligible-weight distance capped at 3.5 bandwidths.
-    fn spatial_params(
-        &mut self,
-        db: &Database,
-    ) -> Result<HashMap<String, (WeightingFn, f64)>, QueryError> {
-        let relations: Vec<(String, String)> = self
-            .program
-            .spatial_variable_relations()
-            .map(|(s, w)| (s.name.clone(), w.to_owned()))
-            .collect();
+    /// Per-spatial-relation [`SpatialParams`], resolved by the grounding
+    /// layer's own rules. The one difference from full grounding is the
+    /// source of a derived bandwidth: the relation's *base table* rather
+    /// than the atom cloud, which demand grounding never materializes.
+    fn spatial_params(&self, db: &Database) -> Result<HashMap<String, SpatialParams>, QueryError> {
         let mut out = HashMap::new();
-        for (rel, wname) in relations {
-            let bandwidth = match self.ground.weighting_bandwidth {
-                Some(b) => b,
-                None => match self.bandwidths.get(&rel) {
-                    Some(&b) => b,
-                    None => {
-                        let b = base_table_bandwidth(&self.program, db, &rel, self.ground.metric);
-                        self.bandwidths.insert(rel.clone(), b);
-                        b
-                    }
-                },
-            };
-            let wfn = WeightingFn::by_name(&wname, self.ground.weighting_scale, bandwidth)
-                .ok_or(QueryError::Ground(GroundError::UnknownWeighting(wname)))?;
-            let radius = self
-                .ground
-                .spatial_radius
-                .unwrap_or_else(|| negligible_radius(&wfn, bandwidth).min(3.5 * bandwidth));
-            out.insert(rel, (wfn, radius));
+        if !self.ground.generate_spatial_factors {
+            return Ok(out);
+        }
+        for (schema, wname) in self.program.spatial_variable_relations() {
+            let params = self.ground.spatial_params(wname, || {
+                base_table_bandwidth(&self.program, db, &schema.name, self.ground.metric)
+            })?;
+            out.insert(schema.name.clone(), params);
         }
         Ok(out)
     }
+}
+
+/// The parts of a (single or batch) neighborhood an answer reads.
+struct Closure<'a> {
+    grounding: &'a Grounding,
+    boundary_clamped: usize,
+    outcome: RunOutcome,
+    ground_time: Duration,
+    warnings: &'a [String],
 }
 
 /// Derives the default weighting bandwidth for `relation` from the
@@ -451,18 +388,24 @@ fn quantized_prior(p: f64, cardinality: u32) -> u32 {
     ((p.clamp(0.0, 1.0) * f64::from(h - 1)).round() as u32).min(h - 1)
 }
 
+/// The head atom of `rule` when it is a derivation rule of `relation`.
+fn derivation_head<'r>(rule: &'r CompiledRule, relation: &str) -> Option<&'r CompiledAtom> {
+    let head = rule.head.first()?;
+    (rule.kind == RuleKind::Derivation && head.relation == relation).then_some(head)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn ground_closure(
     program: &CompiledProgram,
     gcfg: &GroundConfig,
     cfg: &QueryConfig,
-    grounder: &mut Grounder<'_>,
-    spatial: &HashMap<String, (WeightingFn, f64)>,
+    spatial: &HashMap<String, SpatialParams>,
     db: &mut Database,
     evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
     targets: &[(String, i64)],
     ctx: &ExecContext,
 ) -> Result<BatchNeighborhood, QueryError> {
+    let mut grounder = Grounder::new(program, gcfg.clone());
     let mut out = Grounding::new_empty();
     let mut warnings: Vec<String> = Vec::new();
     let mut outcome = RunOutcome::Completed;
@@ -476,25 +419,18 @@ fn ground_closure(
         }
     }
     for (relation, id) in &requested {
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if !matches!(rule.kind, RuleKind::Derivation) {
-                continue;
-            }
-            if rule.head.first().map(|h| h.relation.as_str()) != Some(relation.as_str()) {
-                continue;
-            }
-            let Some(adorn) = adorn_rule(rule, ri, 0, &[0]) else { continue };
-            let Some(&(_, slot)) = adorn.slot_of_arg.first() else {
-                // Head id position is a constant or wildcard; a seeded
-                // probe cannot bind it — skip (the atom, if any, has no
-                // queryable id column).
+        for rule in &program.rules {
+            let Some(head) = derivation_head(rule, relation) else { continue };
+            // A head whose id position is a constant binds no slot: a
+            // seeded probe cannot select on it — skip.
+            let Some(seed) = unify_head(head, &[Value::Int(*id)]).filter(|s| !s.values.is_empty())
+            else {
                 continue;
             };
-            let seed = BoundSeed::slot(slot, Value::Int(*id));
-            let bindings = grounder.eval_rule_seeded(rule, db, &mut out, &seed)?;
-            for b in bindings {
-                grounder.apply_binding(rule, &b, evidence, &mut out);
-            }
+            grounder.ground_rule(rule, db, &mut out, &[seed], None, |g, out, b| {
+                g.apply_binding(rule, b, evidence, out);
+                Ok(())
+            })?;
         }
     }
     let mut seeds: Vec<SeedAtom> = Vec::new();
@@ -518,7 +454,7 @@ fn ground_closure(
     // Logical factors are deduplicated by (rule, full binding) — the same
     // key the full grounder's one-pass evaluation implies; spatial pairs
     // by unordered endpoints.
-    let mut factor_seen: HashSet<(usize, String)> = HashSet::new();
+    let mut factor_seen: Vec<HashSet<String>> = vec![HashSet::new(); program.rules.len()];
     let mut pair_seen: HashSet<(VarId, VarId)> = HashSet::new();
     let mut unselective_warned: HashSet<usize> = HashSet::new();
 
@@ -556,38 +492,11 @@ fn ground_closure(
             if !matches!(rule.kind, RuleKind::Inference(_)) {
                 continue;
             }
-            'heads: for head in &rule.head {
-                if head.relation != rel_v {
-                    continue;
-                }
-                let mut seed_values: Vec<(usize, Value)> = Vec::new();
-                for (pos, t) in head.terms.iter().enumerate() {
-                    let val = vals_v.get(pos);
-                    match t {
-                        SlotTerm::Slot(s) => {
-                            let Some(val) = val else { continue 'heads };
-                            if matches!(val, Value::Null) {
-                                continue; // materialized through a wildcard
-                            }
-                            if let Some((_, prev)) =
-                                seed_values.iter().find(|(slot, _)| slot == s)
-                            {
-                                if prev != val {
-                                    continue 'heads; // repeated slot disagrees
-                                }
-                            } else {
-                                seed_values.push((*s, val.clone()));
-                            }
-                        }
-                        SlotTerm::Const(c) => {
-                            if val != Some(c) {
-                                continue 'heads; // this head cannot be v
-                            }
-                        }
-                        SlotTerm::Wildcard => {}
-                    }
-                }
-                if seed_values.is_empty() {
+            for head in rule.head.iter().filter(|h| h.relation == rel_v) {
+                let Some(seed) = unify_head(head, &vals_v) else {
+                    continue; // this head cannot be v
+                };
+                if seed.values.is_empty() {
                     // Nothing bound: evaluating would ground the whole
                     // rule, defeating demand-driven enumeration.
                     if unselective_warned.insert(ri) {
@@ -598,87 +507,57 @@ fn ground_closure(
                     }
                     continue;
                 }
-                let seed = BoundSeed { values: seed_values, within: None };
-                let bindings = grounder.eval_rule_seeded(rule, db, &mut out, &seed)?;
-                for b in bindings {
-                    let key = (ri, Grounding::canonical_key(&b));
-                    if !factor_seen.insert(key) {
-                        continue;
+                let seen = Some(&mut factor_seen[ri]);
+                grounder.ground_rule(rule, db, &mut out, &[seed], seen, |g, out, b| {
+                    if let Some(f) = g.apply_binding(rule, b, evidence, out) {
+                        discovered.extend(&out.graph.factors()[f as usize].vars);
                     }
-                    grounder.apply_binding(rule, &b, evidence, &mut out);
-                    if let Some(f) = out.graph.factors().last() {
-                        discovered.extend(f.vars.iter().copied());
-                    }
-                }
+                    Ok(())
+                })?;
             }
         }
 
         // Spatial expansion: materialize the relation's atoms within the
         // factor radius and pair v against every included one.
-        if let (Some((wfn, radius)), Some(p)) = (spatial.get(&rel_v), loc_v) {
+        if let (Some(params), Some(p)) = (spatial.get(&rel_v), loc_v) {
             let spatial_col =
                 program.schema(&rel_v).and_then(|s| s.first_spatial_column());
             for rule in &program.rules {
-                if !matches!(rule.kind, RuleKind::Derivation) {
-                    continue;
-                }
-                let Some(head) = rule.head.first().filter(|h| h.relation == rel_v) else {
-                    continue;
-                };
+                let Some(head) = derivation_head(rule, &rel_v) else { continue };
                 let Some(SlotTerm::Slot(ls)) = spatial_col.and_then(|c| head.terms.get(c))
                 else {
                     continue;
                 };
-                let seed =
-                    BoundSeed::within(*ls, p, candidate_radius(gcfg.metric, *radius));
-                let bindings = grounder.eval_rule_seeded(rule, db, &mut out, &seed)?;
-                for b in bindings {
-                    let q = match b[*ls].as_geom() {
-                        Some(g) => g.representative_point(),
-                        None => continue,
-                    };
-                    if metric_distance(gcfg.metric, &p, &q) > *radius {
-                        continue;
+                let reach = candidate_radius(gcfg.metric, params.radius);
+                let seed = BoundSeed { within: Some((*ls, p, reach)), ..BoundSeed::default() };
+                grounder.ground_rule(rule, db, &mut out, &[seed], None, |g, out, b| {
+                    let near = b[*ls].as_geom().is_some_and(|q| {
+                        metric_distance(gcfg.metric, &p, &q.representative_point())
+                            <= params.radius
+                    });
+                    if near {
+                        g.apply_binding(rule, b, evidence, out);
                     }
-                    grounder.apply_binding(rule, &b, evidence, &mut out);
-                }
+                    Ok(())
+                })?;
             }
-            let h = gcfg.domains.get(&rel_v).copied().filter(|&h| h > 2);
+            // Without the full atom cloud there are no co-occurrence
+            // statistics to prune with (Section IV-C); a categorical
+            // relation gets the diagonal agreement pairs.
+            let diagonal: Option<Vec<(u32, u32)>> =
+                gcfg.categorical(&rel_v).map(|h| (0..h).map(|t| (t, t)).collect());
             let peers: Vec<(VarId, Point)> = out
                 .atoms_of(&rel_v)
                 .iter()
-                .filter(|&&u| u != v)
+                .filter(|&&u| u != v && !pair_seen.contains(&(v.min(u), v.max(u))))
                 .filter_map(|&u| out.graph.variable(u).location.map(|q| (u, q)))
                 .collect();
             for (u, q) in peers {
-                let pair = (v.min(u), v.max(u));
-                if pair_seen.contains(&pair) {
-                    continue;
+                if gcfg.emit_spatial_pair(&mut out.graph, params, (v, p), (u, q), diagonal.as_deref())
+                {
+                    pair_seen.insert((v.min(u), v.max(u)));
+                    discovered.push(u);
                 }
-                let d = metric_distance(gcfg.metric, &p, &q);
-                if d > *radius {
-                    continue;
-                }
-                let w = wfn.weight(d);
-                if w < WeightingFn::NEGLIGIBLE {
-                    continue;
-                }
-                pair_seen.insert(pair);
-                match h {
-                    None => {
-                        out.graph.add_spatial_factor(SpatialFactor::binary(v, u, w));
-                    }
-                    // Without the full atom cloud there are no
-                    // co-occurrence statistics to prune with (Section
-                    // IV-C); use the diagonal agreement pairs.
-                    Some(h) => {
-                        for t in 0..h {
-                            out.graph
-                                .add_spatial_factor(SpatialFactor::categorical(v, u, w, t, t));
-                        }
-                    }
-                }
-                discovered.push(u);
             }
         } else if spatial.contains_key(&rel_v) && loc_v.is_none() {
             warnings.push(format!(
@@ -1001,14 +880,33 @@ mod tests {
     #[test]
     fn hash_indexes_survive_across_queries() {
         let mut db = make_db(40);
+        let obs = sya_runtime::Obs::enabled();
+        db.attach_obs(obs.clone());
+        let builds =
+            || obs.metrics().unwrap().counter_value("store.hash_index_builds_total").unwrap_or(0);
         let mut qg = query_grounder(tight_ground(), QueryConfig::default());
         let ctx = ExecContext::unbounded();
         let a = qg.marginal(&mut db, &evidence, "IsSafe", 10, &ctx).unwrap();
+        let built = builds();
+        assert!(built > 0, "the seeded probes go through the table's hash index");
         let b = qg.marginal(&mut db, &evidence, "IsSafe", 10, &ctx).unwrap();
+        assert_eq!(builds(), built, "the second query builds no index");
         assert_eq!(a.stats.variables, b.stats.variables);
         assert_eq!(a.stats.logical_factors, b.stats.logical_factors);
-        qg.invalidate_indexes();
+
+        // A row insert drops the table's indexes; the next query
+        // rebuilds them and sees the new well next door.
+        db.table_mut("Well")
+            .unwrap()
+            .insert(vec![
+                Value::Int(100),
+                Value::from(Point::new(10.5, 0.0)),
+                Value::Double(0.1),
+            ])
+            .unwrap();
         let c = qg.marginal(&mut db, &evidence, "IsSafe", 10, &ctx).unwrap();
-        assert_eq!(a.stats.variables, c.stats.variables);
+        assert!(builds() > built, "a row insert rebuilds the index");
+        assert!(c.stats.variables > a.stats.variables);
+        assert!(qg.marginal(&mut db, &evidence, "IsSafe", 100, &ctx).is_ok());
     }
 }

@@ -10,15 +10,24 @@
 //! work (locally groundable first-order probabilistic logic), this crate
 //! answers a bound marginal without ever constructing the full KB:
 //!
-//! 1. **Adornment + seeded enumeration** — [`sya_lang::adorn_program`]
-//!    selects the rules whose head can produce the bound atom;
-//!    [`Grounder::eval_rule_seeded`](sya_ground::Grounder::eval_rule_seeded)
-//!    evaluates their bodies with the query's values pre-bound, so hash
-//!    probes and R-tree probes exploit them.
+//! 1. **Head unification + seeded enumeration** — a bound atom is a
+//!    restriction on the one rule evaluator, not a second evaluator:
+//!    [`sya_ground::unify_head`] turns "this head instantiates to that
+//!    atom" into a [`BoundSeed`](sya_ground::BoundSeed) (or rules the
+//!    head out), and [`Grounder::ground_rule`](sya_ground::Grounder::ground_rule)
+//!    — the same loop full and delta grounding drive — evaluates the
+//!    body under it, so hash probes and R-tree probes exploit the bound
+//!    values. The join indexes those probes use belong to the tables,
+//!    which drop them when rows change; nothing is carried between
+//!    queries by hand.
 //! 2. **Neighborhood closure** — a breadth-first backward pass from the
 //!    seed atom expands up to [`QueryConfig::hop_depth`] hops: logical
-//!    factors via seeded rule evaluation, spatial factors via an R-tree
-//!    range probe within the relation's spatial radius. Evidence atoms
+//!    factors via seeded rule evaluation (deduplicated by rule and
+//!    canonical binding across expansions), spatial factors via an
+//!    R-tree range probe within the relation's spatial radius, emitted
+//!    by the grounding layer's own pair emitter
+//!    ([`GroundConfig::emit_spatial_pair`](sya_ground::GroundConfig::emit_spatial_pair))
+//!    under its own parameter resolution. Evidence atoms
 //!    are included but never expanded (the Markov blanket property:
 //!    conditioning on them d-separates everything beyond).
 //! 3. **Boundary clamping** — frontier atoms at the hop horizon are

@@ -20,8 +20,8 @@
 //! * evidence validation cannot check atom *existence* (there is no
 //!   grounded catalogue); an unknown id is accepted and simply never
 //!   matches a neighborhood;
-//! * misses serialize on the single grounder lock (the hash-index and
-//!   bandwidth caches are shared mutable state); hits are lock-cheap;
+//! * misses serialize on the single engine lock (probes build the
+//!   tables' lazy R-tree and hash indexes); hits are lock-cheap;
 //! * marginals carry single-chain sampling noise per grounding, where
 //!   the full path amortizes one long chain over every atom.
 
@@ -33,7 +33,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
-use sya_delta::RowOp;
 use sya_geom::{DistanceMetric, Point, Rect};
 use sya_ground::{candidate_radius, GroundConfig, Grounding};
 use sya_lang::CompiledProgram;
@@ -68,8 +67,8 @@ impl Default for LazyConfig {
 }
 
 /// The demand grounder and its input tables. One lock for both: every
-/// cache miss needs the grounder's hash-index/bandwidth caches and the
-/// database's R-tree probes mutably, together.
+/// cache miss probes the database's lazily built R-tree and hash
+/// indexes mutably.
 struct LazyEngine {
     grounder: QueryGrounder,
     db: Database,
@@ -347,7 +346,12 @@ impl LazyKb {
             // — here in the leader branch — so miss/hit counters keep
             // meaning "groundings performed" under concurrency.
             self.obs.counter_add("serve.query.cache_miss_total", 1);
-            let result = self.ground_and_cache(&key, epoch, &evidence, ctx);
+            let result = if self.variable_relations.contains(relation) {
+                self.ground_misses(std::slice::from_ref(&key), epoch, &evidence, ctx)
+                    .map(|answers| answers.first().map(|a| to_marginal(a, epoch)))
+            } else {
+                Ok(None)
+            };
             {
                 let mut done = flight.done.lock().unwrap_or_else(|e| e.into_inner());
                 *done = true;
@@ -358,16 +362,19 @@ impl LazyKb {
         }
     }
 
-    /// The leader's side of a cache miss: demand-ground the atom's
-    /// neighborhood, record its footprint, cache, and answer.
-    fn ground_and_cache(
+    /// Demand-grounds the union neighborhood of `misses` (one atom for a
+    /// point query) under the engine lock, answers every atom found from
+    /// one restricted chain, and caches each answer under the union's
+    /// footprint — conservative for invalidation (a delta near any
+    /// member drops them all), exact for correctness. Atoms that do not
+    /// exist have no answer.
+    fn ground_misses(
         &self,
-        key: &(String, i64),
+        misses: &[(String, i64)],
         epoch: u64,
         evidence: &HashMap<(String, i64), u32>,
         ctx: &ExecContext,
-    ) -> Result<Option<MarginalAnswer>, ServeError> {
-        let (relation, id) = (key.0.as_str(), key.1);
+    ) -> Result<Vec<QueryAnswer>, ServeError> {
         let ev_fn = |rel: &str, values: &[Value]| -> Option<u32> {
             values
                 .first()
@@ -377,38 +384,34 @@ impl LazyKb {
         let result = {
             let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
             let LazyEngine { grounder, db } = &mut *engine;
-            grounder.neighborhood(db, &ev_fn, relation, id, ctx).and_then(|nh| {
+            grounder.neighborhood_batch(db, &ev_fn, misses, ctx).and_then(|nh| {
                 let footprint = footprint_of(&nh.grounding);
-                grounder.answer(&nh, ctx).map(|answer| (answer, footprint))
+                grounder.answer_batch(&nh, ctx).map(|answers| (answers, footprint))
             })
         };
-        match result {
-            Ok((answer, footprint)) => {
-                self.obs.histogram_record(
-                    "serve.query.ground_seconds",
-                    answer.stats.ground_time.as_secs_f64(),
-                );
-                self.obs.histogram_record(
-                    "serve.query.infer_seconds",
-                    answer.stats.infer_time.as_secs_f64(),
-                );
-                for w in &answer.warnings {
-                    self.obs.debug(format!("lazy query {relation}({id}): {w}"));
-                }
-                let entries = {
-                    let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                    cache.insert(key.clone(), epoch, answer.clone(), footprint)
-                };
-                self.obs.gauge_set("serve.query.cache_entries", entries as f64);
-                Ok(Some(to_marginal(&answer, epoch)))
-            }
-            Err(QueryError::NotFound { .. } | QueryError::UnknownRelation(_)) => Ok(None),
+        let (answers, footprint) = match result {
+            Ok(x) => x,
             Err(QueryError::Budget(b)) => {
                 self.obs.counter_add("serve.query.budget_exceeded_total", 1);
-                Err(ServeError::QueryBudget(b.to_string()))
+                return Err(ServeError::QueryBudget(b.to_string()));
             }
-            Err(e) => Err(ServeError::QueryFailed(e.to_string())),
+            Err(e) => return Err(ServeError::QueryFailed(e.to_string())),
+        };
+        let Some(first) = answers.first() else { return Ok(answers) };
+        self.obs
+            .histogram_record("serve.query.ground_seconds", first.stats.ground_time.as_secs_f64());
+        self.obs
+            .histogram_record("serve.query.infer_seconds", first.stats.infer_time.as_secs_f64());
+        for w in &first.warnings {
+            self.obs.debug(format!("lazy query {}({}): {w}", first.relation, first.id));
         }
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        for answer in &answers {
+            let key = (answer.relation.clone(), answer.id);
+            cache.insert(key, epoch, answer.clone(), footprint.clone());
+        }
+        self.obs.gauge_set("serve.query.cache_entries", cache.map.len() as f64);
+        Ok(answers)
     }
 
     /// Batch marginals through **one union grounding**: cache hits are
@@ -451,51 +454,7 @@ impl LazyKb {
         }
         self.obs.counter_add("serve.query.cache_miss_total", misses.len() as u64);
         self.obs.counter_add("serve.query.batch_union_total", 1);
-        let ev_fn = |rel: &str, values: &[Value]| -> Option<u32> {
-            values
-                .first()
-                .and_then(Value::as_int)
-                .and_then(|vid| evidence.get(&(rel.to_owned(), vid)).copied())
-        };
-        let result = {
-            let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
-            let LazyEngine { grounder, db } = &mut *engine;
-            grounder.neighborhood_batch(db, &ev_fn, &misses, ctx).and_then(|nh| {
-                let footprint = footprint_of(&nh.grounding);
-                grounder.answer_batch(&nh, ctx).map(|answers| (answers, footprint))
-            })
-        };
-        let (answers, footprint) = match result {
-            Ok(x) => x,
-            Err(QueryError::Budget(b)) => {
-                self.obs.counter_add("serve.query.budget_exceeded_total", 1);
-                return Err(ServeError::QueryBudget(b.to_string()));
-            }
-            Err(e) => return Err(ServeError::QueryFailed(e.to_string())),
-        };
-        if let Some(a) = answers.first() {
-            self.obs
-                .histogram_record("serve.query.ground_seconds", a.stats.ground_time.as_secs_f64());
-            self.obs
-                .histogram_record("serve.query.infer_seconds", a.stats.infer_time.as_secs_f64());
-        }
-        // Every answer from the union is cached under the union's
-        // footprint — conservative for invalidation (a delta near any
-        // member drops them all), exact for correctness.
-        let entries = {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            let mut n = cache.map.len();
-            for answer in &answers {
-                n = cache.insert(
-                    (answer.relation.clone(), answer.id),
-                    epoch,
-                    answer.clone(),
-                    footprint.clone(),
-                );
-            }
-            n
-        };
-        self.obs.gauge_set("serve.query.cache_entries", entries as f64);
+        let answers = self.ground_misses(&misses, epoch, &evidence, ctx)?;
         let by_key: HashMap<(String, i64), MarginalAnswer> = answers
             .iter()
             .map(|a| ((a.relation.clone(), a.id), to_marginal(a, epoch)))
@@ -588,24 +547,9 @@ impl LazyKb {
         let updates = crate::rows::decode_updates(grounder.program(), raw)
             .map_err(ServeError::BadRows)?;
 
-        // All-or-nothing validation before any table is touched;
-        // retractions claim distinct row indices so a batch can retract
-        // duplicates but never the same physical row twice.
-        let mut retracts: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, u) in updates.iter().enumerate() {
-            let at = |msg: String| ServeError::BadRows(format!("update #{i}: {msg}"));
-            let table = db.table(&u.relation).map_err(|e| at(e.to_string()))?;
-            table.check_row(&u.row).map_err(|e| at(e.to_string()))?;
-            if u.op == RowOp::Retract {
-                let claimed = retracts.entry(u.relation.clone()).or_default();
-                let Some(rid) =
-                    table.find_rows(&u.row).into_iter().find(|r| !claimed.contains(r))
-                else {
-                    return Err(at(format!("no matching {} row to retract", u.relation)));
-                };
-                claimed.push(rid);
-            }
-        }
+        // The same all-or-nothing validation as full mode.
+        let batch =
+            sya_delta::RowBatch::validate(db, &updates).map_err(crate::rows::delta_error)?;
 
         // Delta footprint: a representative point and/or first integer
         // id per row. A row exposing neither cannot be localized, so the
@@ -624,22 +568,9 @@ impl LazyKb {
             touch_ids.extend(id);
         }
 
-        let mut inserted = 0usize;
-        let mut retracted = 0usize;
-        for (rel, rows) in &retracts {
-            retracted +=
-                db.table_mut(rel).expect("validated above").remove_rows(rows);
-        }
-        for u in updates.iter().filter(|u| u.op == RowOp::Insert) {
-            db.table_mut(&u.relation)
-                .expect("validated above")
-                .insert(u.row.clone())
-                .map_err(|e| ServeError::RowsFailed(e.to_string()))?;
-            inserted += 1;
-        }
-        // The grounder's hash indexes and bandwidth cache were built
-        // over the old tables; the R-tree is rebuilt by the table layer.
-        grounder.invalidate_indexes();
+        // The tables drop their own R-tree and hash indexes on mutation.
+        let retracted = batch.retract(db);
+        let inserted: usize = batch.insert(db).values().map(Vec::len).sum();
         // Interaction horizon in coordinate units: a changed row can
         // only affect neighborhoods within the largest spatial-factor
         // radius of it.

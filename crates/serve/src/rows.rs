@@ -68,6 +68,16 @@ impl RowsOutcome {
     }
 }
 
+/// The HTTP-facing error of a delta-layer failure, the same in full and
+/// lazy mode: a batch that fails validation is the client's (400).
+pub(crate) fn delta_error(e: sya_delta::DeltaError) -> crate::ServeError {
+    match e {
+        sya_delta::DeltaError::BadUpdate(msg) => crate::ServeError::BadRows(msg),
+        sya_delta::DeltaError::NotSpatial => crate::ServeError::NotSpatial,
+        sya_delta::DeltaError::Ground(g) => crate::ServeError::RowsFailed(g.to_string()),
+    }
+}
+
 /// Decodes a wire batch against the program schemas into typed
 /// [`RowUpdate`]s. Rejects variable relations: their ground truth
 /// arrives through `/v1/evidence`, not the tables.

@@ -274,11 +274,7 @@ impl ServingKb {
         let (stats, rebuilt) = {
             let mut kb = self.kb.write().unwrap_or_else(|e| e.into_inner());
             let stats = sya_delta::apply_updates(&self.session, &mut kb, db, &ev_fn, &updates)
-                .map_err(|e| match e {
-                    sya_delta::DeltaError::BadUpdate(msg) => ServeError::BadRows(msg),
-                    sya_delta::DeltaError::NotSpatial => ServeError::NotSpatial,
-                    sya_delta::DeltaError::Ground(g) => ServeError::RowsFailed(g.to_string()),
-                })?;
+                .map_err(crate::rows::delta_error)?;
             (stats, atom_index(&kb))
         };
         *self.atoms.write().unwrap_or_else(|e| e.into_inner()) = rebuilt;

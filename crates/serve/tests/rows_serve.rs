@@ -381,3 +381,67 @@ fn lazy_batch_query_unions_misses_into_one_grounding() {
     let metrics = render(&kb);
     assert_eq!(metric_value(&metrics, "sya_serve_query_batch_union_total"), Some(1.0), "{metrics}");
 }
+
+/// Full and lazy mode share one row-batch validator (`sya_delta::
+/// RowBatch`): the same bad batch is the same 400 body in both, and
+/// neither mode's tables move.
+#[test]
+fn bad_row_batches_get_the_same_400_in_full_and_lazy_mode() {
+    let dataset = dataset();
+    let obs = Obs::enabled();
+    let (session, kb) = build(&dataset, obs.clone());
+    let full_state =
+        ServingKb::with_live(session, kb, dataset.db.clone(), keyed_evidence(&dataset), obs)
+            .expect("spatial KB serves");
+    let cfg = || ServeConfig { listen: "127.0.0.1:0".into(), workers: 2, ..ServeConfig::default() };
+    let full = SyaServer::start(full_state, cfg()).expect("full server binds");
+    let lazy = SyaServer::start(lazy_kb(&dataset), cfg()).expect("lazy server binds");
+    let addrs = [full.local_addr().to_string(), lazy.local_addr().to_string()];
+
+    // One well both modes hold exactly one copy of.
+    let well = well_json(5000, 40.0, 40.0);
+    let op = |op: &str, relation: &str, row: &str| {
+        format!("{{\"op\":\"{op}\",\"relation\":\"{relation}\",\"row\":{row}}}")
+    };
+    let batch = |members: &[String]| format!("{{\"updates\":[{}]}}", members.join(","));
+    for addr in &addrs {
+        let inserted = post_ok(addr, "/v1/rows", &batch(&[op("insert", "Well", &well)]));
+        assert_eq!(inserted["epoch"].as_u64(), Some(1));
+    }
+
+    let bad = [
+        ("unknown relation", batch(&[op("insert", "Nope", "[1]")]), "Nope"),
+        ("arity mismatch", batch(&[op("insert", "Well", "[1]")]), "columns"),
+        (
+            "retract of a missing row",
+            batch(&[op("retract", "Well", &well_json(987654, 1.0, 1.0))]),
+            "no matching Well row",
+        ),
+        (
+            "one physical row retracted twice",
+            batch(&[op("retract", "Well", &well), op("retract", "Well", &well)]),
+            "update #1",
+        ),
+    ];
+    for (what, body, needle) in &bad {
+        let answers: Vec<_> =
+            addrs.iter().map(|a| http_post_json(a, "/v1/rows", body).unwrap()).collect();
+        for r in &answers {
+            assert_eq!(r.status, 400, "{what}: {}", r.body);
+            assert!(r.body.contains(needle), "{what}: {}", r.body);
+        }
+        assert_eq!(answers[0].body, answers[1].body, "{what}: full and lazy bodies differ");
+    }
+
+    // Nothing moved: the epoch stands, and the well is still there to be
+    // retracted exactly once.
+    for addr in &addrs {
+        assert_eq!(get_ok(addr, "/healthz")["epoch"].as_u64(), Some(1));
+        let retracted = post_ok(addr, "/v1/rows", &batch(&[op("retract", "Well", &well)]));
+        assert_eq!(retracted["rows_retracted"].as_u64(), Some(1), "{retracted}");
+        let again = http_post_json(addr, "/v1/rows", &batch(&[op("retract", "Well", &well)]));
+        assert_eq!(again.unwrap().status, 400);
+    }
+    full.shutdown(Duration::from_secs(10)).expect("no leaked threads");
+    lazy.shutdown(Duration::from_secs(10)).expect("no leaked threads");
+}

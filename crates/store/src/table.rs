@@ -2,15 +2,17 @@
 //! (paper Section IV-B, optimization 1).
 
 use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::value::{JoinKey, Value};
 use crate::StoreError;
+use std::collections::HashMap;
 use sya_geom::{Point, RTree, Rect};
 use sya_obs::{Counter, Obs};
 
 /// A row is a boxed slice of values matching the table schema.
 pub type Row = Vec<Value>;
 
-/// An in-memory table: schema + rows + lazily built spatial index.
+/// An in-memory table: schema + rows + lazily built spatial and hash
+/// join indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -19,6 +21,10 @@ pub struct Table {
     /// R-tree over one spatial column: `(column index, index over row ids)`.
     /// Invalidated (dropped) on mutation.
     spatial_index: Option<(usize, RTree<usize>)>,
+    /// Equi-join indexes, `column index -> join key -> row ids`. Dropped
+    /// on mutation together with the R-tree, so a probe never sees rows
+    /// of an older table.
+    hash_indexes: HashMap<usize, HashMap<JoinKey, Vec<usize>>>,
     /// Observability handle (disabled unless attached via the database).
     obs: Obs,
     /// Counter handles resolved at attach time so the per-probe hot path
@@ -39,6 +45,7 @@ impl Table {
             schema,
             rows: Vec::new(),
             spatial_index: None,
+            hash_indexes: HashMap::new(),
             obs,
             ctr_spatial_queries,
             ctr_rows_fetched,
@@ -81,7 +88,7 @@ impl Table {
     /// Inserts a row after checking arity and per-column type fit.
     pub fn insert(&mut self, row: Row) -> Result<(), StoreError> {
         self.check_row(&row)?;
-        self.spatial_index = None;
+        self.drop_indexes();
         self.rows.push(row);
         Ok(())
     }
@@ -147,6 +154,33 @@ impl Table {
         Ok(rows)
     }
 
+    /// Builds the hash join index over column `col` unless it is cached.
+    /// Rows whose value has no join key (`Null`, geometries) are skipped.
+    pub fn ensure_hash_index(&mut self, col: usize) {
+        if self.hash_indexes.contains_key(&col) {
+            return;
+        }
+        let mut index: HashMap<JoinKey, Vec<usize>> = HashMap::new();
+        for (rid, row) in self.rows.iter().enumerate() {
+            if let Some(key) = row[col].join_key() {
+                index.entry(key).or_default().push(rid);
+            }
+        }
+        self.obs.counter_add("store.hash_index_builds_total", 1);
+        self.hash_indexes.insert(col, index);
+    }
+
+    /// Row ids whose value in column `col` has join key `key`, in row
+    /// order. The index must have been built by
+    /// [`Self::ensure_hash_index`] since the last mutation.
+    pub fn rows_with_key(&self, col: usize, key: &JoinKey) -> &[usize] {
+        self.hash_indexes
+            .get(&col)
+            .expect("ensure_hash_index(col) runs before rows_with_key(col)")
+            .get(key)
+            .map_or(&[], Vec::as_slice)
+    }
+
     /// The point value of the first spatial column for `row`, if present.
     pub fn point_of(&self, row: usize) -> Option<Point> {
         let col = self.schema.first_spatial_column()?;
@@ -184,7 +218,7 @@ impl Table {
     }
 
     /// Deletes the given row ids, preserving the order of survivors
-    /// and invalidating the spatial index. Out-of-range ids are
+    /// and invalidating the spatial and hash indexes. Out-of-range ids are
     /// ignored. Returns the number of rows removed.
     pub fn remove_rows(&mut self, remove: &[usize]) -> usize {
         if remove.is_empty() {
@@ -200,9 +234,14 @@ impl Table {
         });
         let removed = before - self.rows.len();
         if removed > 0 {
-            self.spatial_index = None;
+            self.drop_indexes();
         }
         removed
+    }
+
+    fn drop_indexes(&mut self) {
+        self.spatial_index = None;
+        self.hash_indexes.clear();
     }
 }
 
@@ -275,6 +314,30 @@ mod tests {
             .rows_within_distance("location", &Point::new(5.0, 0.0), 0.5)
             .unwrap();
         assert!(ids.contains(&10), "new row must be visible: {ids:?}");
+    }
+
+    #[test]
+    fn hash_index_invalidated_on_insert_and_remove() {
+        let obs = Obs::enabled();
+        let mut t = well_table();
+        t.attach_obs(obs.clone());
+        let builds = || obs.metrics().unwrap().counter_value("store.hash_index_builds_total");
+        t.ensure_hash_index(0);
+        assert_eq!(t.rows_with_key(0, &JoinKey::Int(5)), &[5]);
+        t.ensure_hash_index(0);
+        assert_eq!(builds(), Some(1), "a cached index is not rebuilt");
+
+        t.insert(vec![Value::Int(5), Value::from(Point::new(5.0, 0.1)), Value::Double(0.0)])
+            .unwrap();
+        t.ensure_hash_index(0);
+        assert_eq!(builds(), Some(2), "insert drops the index");
+        assert_eq!(t.rows_with_key(0, &JoinKey::Int(5)), &[5, 10], "new row must be visible");
+
+        assert_eq!(t.remove_rows(&[5]), 1);
+        t.ensure_hash_index(0);
+        assert_eq!(builds(), Some(3), "remove_rows drops the index");
+        assert_eq!(t.rows_with_key(0, &JoinKey::Int(5)), &[9], "row ids follow the compaction");
+        assert!(t.rows_with_key(0, &JoinKey::Int(77)).is_empty());
     }
 
     #[test]
