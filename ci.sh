@@ -11,6 +11,9 @@ cd "$(dirname "$0")"
 cargo build --workspace --release
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
+# Criterion benches compile against the crates' public API; build them
+# so an API change cannot leave them broken.
+cargo bench --workspace --no-run --offline
 
 # The benchmark is its own package (own workspace and lock file) that
 # compiles against the crates' public API: build and test it here, so a

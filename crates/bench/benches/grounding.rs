@@ -1,5 +1,6 @@
 //! Grounding-phase benchmarks: Sya vs DeepDive mode (Fig. 9b's grounding
-//! columns) and the step-function rule blow-up (Fig. 10b).
+//! columns), DeepDive mode at paper scale, and the step-function rule
+//! blow-up (Fig. 10b).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -55,6 +56,12 @@ fn bench_grounding(c: &mut Criterion) {
             b.iter(|| black_box(ground_once(p)))
         });
     }
+    // Paper scale (9,831 wells) without spatial factors: what is left is
+    // rule evaluation and binding application.
+    let paper = prepare(9_831, SyaConfig::deepdive());
+    group.bench_with_input(BenchmarkId::new("deepdive", 9_831), &paper, |b, p| {
+        b.iter(|| black_box(ground_once(p)))
+    });
     // Step-function blow-up (Fig. 10b): grounding cost vs band count.
     for bands in [10usize, 50] {
         let step = prepare(300, SyaConfig::deepdive_stepfn(bands));

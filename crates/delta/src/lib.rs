@@ -19,8 +19,9 @@
 //!    re-derivation seeded with each binding's values counts how many
 //!    identical matches survive on other rows; the excess factors —
 //!    located exactly via the per-factor binding provenance
-//!    ([`Grounding::live_factors_matching`]) — are tombstoned in place
-//!    (no id compaction, so every downstream structure keeps its
+//!    ([`Grounding::live_factors_matching`], which compares typed
+//!    [`Key`]s over the factors of one head atom) — are tombstoned in
+//!    place (no id compaction, so every downstream structure keeps its
 //!    variable ids). Head atoms no rule head can re-derive
 //!    ([`unify_head`] gives the seed, [`head_values`] the exact check)
 //!    are retired with [`Grounding::kill_atom`] and leave the pyramid
@@ -50,7 +51,7 @@ use std::time::{Duration, Instant};
 use sya_core::{KnowledgeBase, SyaSession};
 use sya_fg::VarId;
 use sya_ground::{
-    delta_seeds, head_values, unify_head, BoundSeed, GroundError, Grounder, Grounding,
+    delta_seeds, head_key, unify_head, BoundSeed, GroundError, Grounder, Grounding, Key,
 };
 use sya_lang::{CompiledProgram, CompiledRule, RuleKind};
 use sya_store::{Database, Row, Value};
@@ -227,8 +228,9 @@ pub fn apply_updates(
     // ---- Retract phase.
     if !batch.retract_rows.is_empty() {
         // Enumerate the bindings the doomed rows support, while the rows
-        // are still present. (Duplicate matches collapse to one binding
-        // here; the survivor count below restores the multiplicity.)
+        // are still present. (Identical bindings from duplicate rows are
+        // listed once each; the survivor count below settles them all on
+        // the first visit, so a repeat finds nothing left to do.)
         let mut vanished: Vec<(&CompiledRule, Vec<Vec<Value>>)> = Vec::new();
         for rule in &program.rules {
             let seeds = delta_seeds(rule, &batch.retract_rows);
@@ -236,9 +238,8 @@ pub fn apply_updates(
                 continue;
             }
             let mut bindings = Vec::new();
-            let mut seen = HashSet::new();
-            grounder.ground_rule(rule, db, &mut kb.grounding, &seeds, Some(&mut seen), |_, _, b| {
-                bindings.push(b.to_vec());
+            grounder.ground_rule(rule, db, &mut kb.grounding, &seeds, None, |_, _, b| {
+                bindings.extend(b);
                 Ok(())
             })?;
             vanished.push((rule, bindings));
@@ -252,11 +253,20 @@ pub fn apply_updates(
         let mut candidates: Vec<VarId> = Vec::new();
         for (rule, bindings) in vanished {
             for binding in bindings {
-                let key = Grounding::canonical_key(&binding);
+                let key = Key::of(&binding);
                 let surviving =
                     surviving_matches(&mut grounder, rule, db, &mut kb.grounding, &binding, &key)?;
-                if let RuleKind::Inference(_) = rule.kind {
-                    let matching = kb.grounding.live_factors_matching(&rule.label, &key);
+                let heads: Vec<Option<VarId>> = rule
+                    .head
+                    .iter()
+                    .map(|atom| {
+                        let head = head_key(atom, &binding);
+                        kb.grounding.atom_by_key(&atom.relation, head.as_bytes())
+                    })
+                    .collect();
+                // Every factor of the binding touches its first head atom.
+                if let (RuleKind::Inference(_), Some(&Some(anchor))) = (rule.kind, heads.first()) {
+                    let matching = kb.grounding.live_factors_matching(&rule.label, anchor, &key);
                     let excess = matching.len().saturating_sub(surviving);
                     for &f in matching.iter().rev().take(excess) {
                         for v in kb.grounding.tombstone_factor(f) {
@@ -265,12 +275,7 @@ pub fn apply_updates(
                     }
                 }
                 if surviving == 0 {
-                    for atom in &rule.head {
-                        let values = head_values(atom, &binding);
-                        if let Some(v) = kb.grounding.atom_id(&atom.relation, &values) {
-                            candidates.push(v);
-                        }
-                    }
+                    candidates.extend(heads.into_iter().flatten());
                 }
             }
         }
@@ -373,21 +378,21 @@ fn publish(session: &SyaSession, stats: &DeltaStats) {
 /// How many matches of `rule` with exactly this binding remain on the
 /// post-deletion tables (each corresponds to one factor the binding
 /// still owns). Seeding every non-`Null` slot makes this a handful of
-/// index probes; the canonical-key filter decides.
+/// index probes; the key filter decides.
 fn surviving_matches(
     grounder: &mut Grounder,
     rule: &CompiledRule,
     db: &mut Database,
     out: &mut Grounding,
     binding: &[Value],
-    key: &str,
+    key: &Key,
 ) -> Result<usize, GroundError> {
     let seed = BoundSeed {
         values: binding.iter().cloned().enumerate().filter(|(_, v)| !v.is_null()).collect(),
         ..Default::default()
     };
     let rows = grounder.eval_rule_seeded(rule, db, out, &seed)?;
-    Ok(rows.iter().filter(|b| Grounding::canonical_key(b) == key).count())
+    Ok(rows.iter().filter(|b| Key::of(b) == *key).count())
 }
 
 /// Whether any rule head can still derive the ground atom `v` from the
@@ -404,12 +409,12 @@ fn atom_derivable(
     let Some((relation, values)) = out.atom_meta.get(v as usize).cloned() else {
         return Ok(false);
     };
-    let key = Grounding::canonical_key(&values);
+    let key = Key::of(&values);
     for rule in &program.rules {
         for head in rule.head.iter().filter(|h| h.relation == relation) {
             let Some(seed) = unify_head(head, &values) else { continue };
             for b in grounder.eval_rule_seeded(rule, db, out, &seed)? {
-                if Grounding::canonical_key(&head_values(head, &b)) == key {
+                if head_key(head, &b) == key {
                     return Ok(true);
                 }
             }

@@ -100,6 +100,11 @@ impl FactorGraph {
         idx
     }
 
+    /// Room for `n` more logical factors without reallocating.
+    pub fn reserve_factors(&mut self, n: usize) {
+        self.factors.reserve(n);
+    }
+
     /// Adds a spatial factor, reusing a tombstoned slot when one is
     /// free (same contract as [`FactorGraph::add_factor`]).
     pub fn add_spatial_factor(&mut self, f: SpatialFactor) -> u32 {

@@ -1,6 +1,7 @@
 //! The grounding executor: compiled rules + input data → spatial factor
 //! graph.
 
+use crate::key::{self, Key, KeyMap};
 use crate::pruning::{allowed_domain_pairs, build_cooccurrence};
 use crate::GroundError;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -82,24 +83,34 @@ pub struct GroundingStats {
     pub pruned_domain_pairs: usize,
 }
 
-/// The grounding result: the graph plus the atom catalogue.
+/// The grounding result: the graph plus the atom catalogue and the
+/// per-factor provenance.
+///
+/// Every identity here is a typed [`Key`] (its equality rules are in
+/// [`crate::key`]); no text is built per binding or per atom probe.
+/// The catalogue is one map per relation from the key of an atom's
+/// head values to its variable, so a probe hashes the relation name
+/// once and looks up the key bytes it encoded into a reused buffer.
+/// Each logical factor records the index of its rule in one label
+/// table and the key of the binding that produced it — the provenance
+/// a retraction matches on, found through the factors of one head atom
+/// rather than by scanning the graph.
 #[derive(Debug, Clone)]
 pub struct Grounding {
     pub graph: FactorGraph,
-    /// `(relation, canonical key) -> variable id`.
-    atom_ids: HashMap<(String, String), VarId>,
+    /// Relation name → its atoms.
+    catalogue: HashMap<String, RelationAtoms>,
     /// Per-variable `(relation, head values)` for result reporting.
     pub atom_meta: Vec<(String, Vec<Value>)>,
-    /// Rule label of each logical factor, parallel to
-    /// `graph.factors()` — the weight-tying groups for learning.
-    pub factor_rules: Vec<String>,
-    /// Canonical binding key of each logical factor, parallel to
-    /// `graph.factors()` — the provenance a retraction needs to find
-    /// exactly the factors a vanished binding produced (DeepDive keeps
-    /// the same per-factor provenance for its incremental maintenance).
-    pub factor_bindings: Vec<String>,
-    /// Variable ids per relation, in creation order.
-    relation_atoms: HashMap<String, Vec<VarId>>,
+    /// The labels of the rules that made factors, each once.
+    rule_labels: Vec<String>,
+    /// Index into `rule_labels` of each logical factor's rule, parallel
+    /// to `graph.factors()` — the weight-tying groups for learning.
+    factor_rules: Vec<u32>,
+    /// Key of the binding each logical factor came from, parallel to
+    /// `graph.factors()` (DeepDive keeps the same per-factor provenance
+    /// for its incremental maintenance).
+    factor_bindings: Vec<Key>,
     pub stats: GroundingStats,
     /// How the grounding run ended. [`RunOutcome::Completed`] unless a
     /// deadline or cancellation stopped it early — in which case the
@@ -108,55 +119,82 @@ pub struct Grounding {
     pub outcome: RunOutcome,
 }
 
+/// The atoms of one relation: key → variable, and the variables in
+/// creation order.
+#[derive(Debug, Clone, Default)]
+struct RelationAtoms {
+    ids: KeyMap<VarId>,
+    atoms: Vec<VarId>,
+}
+
 impl Grounding {
     /// An empty grounding: the starting point of a full [`Grounder::ground`]
     /// run, and of the demand-driven (magic-sets) neighborhood grounding
     /// in `sya-query`, which materializes atoms and factors into it one
-    /// [`Grounder::apply_binding`] at a time.
+    /// [`Grounder::apply_bindings`] batch at a time.
     pub fn new_empty() -> Grounding {
         Grounding {
             graph: FactorGraph::new(),
-            atom_ids: HashMap::new(),
+            catalogue: HashMap::new(),
             atom_meta: Vec::new(),
+            rule_labels: Vec::new(),
             factor_rules: Vec::new(),
             factor_bindings: Vec::new(),
-            relation_atoms: HashMap::new(),
             stats: GroundingStats::default(),
             outcome: RunOutcome::Completed,
         }
     }
 
-    /// Canonical textual key for a tuple of values.
-    pub fn canonical_key(values: &[Value]) -> String {
-        let mut s = String::new();
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                s.push('\u{1f}');
-            }
-            s.push_str(&v.to_string());
-        }
-        s
-    }
-
     /// Looks up the ground atom for `relation(values...)`.
     pub fn atom_id(&self, relation: &str, values: &[Value]) -> Option<VarId> {
-        self.atom_ids
-            .get(&(relation.to_owned(), Self::canonical_key(values)))
-            .copied()
+        self.atom_by_key(relation, Key::of(values).as_bytes())
+    }
+
+    /// Looks up a ground atom by the key of its head values.
+    pub fn atom_by_key(&self, relation: &str, key: &[u8]) -> Option<VarId> {
+        self.catalogue.get(relation)?.ids.get(key).copied()
+    }
+
+    /// The label of the rule that produced logical factor `idx`.
+    pub fn factor_rule(&self, idx: u32) -> &str {
+        &self.rule_labels[self.factor_rules[idx as usize] as usize]
+    }
+
+    /// Index of `label` in the label table, added on first sight.
+    fn rule_index(&mut self, label: &str) -> u32 {
+        match self.rule_labels.iter().position(|l| l == label) {
+            Some(i) => i as u32,
+            None => {
+                self.rule_labels.push(label.to_owned());
+                (self.rule_labels.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Records the provenance of logical factor `idx` — pushed for a new
+    /// slot, overwritten for a recycled one.
+    fn set_provenance(&mut self, idx: u32, rule: u32, binding: Key) {
+        let i = idx as usize;
+        if i == self.factor_rules.len() {
+            self.factor_rules.push(rule);
+            self.factor_bindings.push(binding);
+        } else {
+            self.factor_rules[i] = rule;
+            self.factor_bindings[i] = binding;
+        }
     }
 
     /// Logical factor indices grouped by originating rule label —
     /// the tied-weight groups for weight learning. Tombstoned factors
     /// are excluded.
     pub fn rule_factor_groups(&self) -> Vec<(String, Vec<u32>)> {
-        let mut map: std::collections::BTreeMap<String, Vec<u32>> = Default::default();
-        for (i, label) in self.factor_rules.iter().enumerate() {
-            if self.graph.is_factor_dead(i as u32) {
-                continue;
+        let mut map: std::collections::BTreeMap<&str, Vec<u32>> = Default::default();
+        for i in 0..self.factor_rules.len() as u32 {
+            if !self.graph.is_factor_dead(i) {
+                map.entry(self.factor_rule(i)).or_default().push(i);
             }
-            map.entry(label.clone()).or_default().push(i as u32);
         }
-        map.into_iter().collect()
+        map.into_iter().map(|(label, ids)| (label.to_owned(), ids)).collect()
     }
 
     /// Bulk deletion: removes the given ground atoms, every factor
@@ -169,26 +207,23 @@ impl Grounding {
         // Factors surviving = live and all endpoints survive (same rule
         // the graph compaction applies); keep the factor side tables in
         // lockstep.
-        let survives = |i: usize, vars: &[VarId]| {
-            !self.graph.is_factor_dead(i as u32)
-                && vars
-                    .iter()
-                    .all(|v| !remove.contains(v) && !self.graph.is_var_dead(*v))
-        };
-        let mut kept_rules = Vec::new();
-        let mut kept_bindings = Vec::new();
-        for (i, f) in self.graph.factors().iter().enumerate() {
-            if survives(i, &f.vars) {
-                kept_rules.push(self.factor_rules[i].clone());
-                kept_bindings.push(
-                    self.factor_bindings.get(i).cloned().unwrap_or_default(),
-                );
-            }
-        }
+        let bindings = std::mem::take(&mut self.factor_bindings);
+        let (rules, bindings): (Vec<u32>, Vec<Key>) = self
+            .graph
+            .factors()
+            .iter()
+            .enumerate()
+            .zip(self.factor_rules.iter().zip(bindings))
+            .filter(|((i, f), _)| {
+                !self.graph.is_factor_dead(*i as u32)
+                    && f.vars.iter().all(|v| !remove.contains(v) && !self.graph.is_var_dead(*v))
+            })
+            .map(|(_, (&rule, key))| (rule, key))
+            .unzip();
         let (graph, remap) = self.graph.remove_variables(remove);
         self.graph = graph;
-        self.factor_rules = kept_rules;
-        self.factor_bindings = kept_bindings;
+        self.factor_rules = rules;
+        self.factor_bindings = bindings;
         debug_assert_eq!(self.factor_rules.len(), self.graph.num_factors());
 
         let mut atom_meta = Vec::with_capacity(self.graph.num_variables());
@@ -198,26 +233,26 @@ impl Grounding {
             }
         }
         self.atom_meta = atom_meta;
-        self.atom_ids.retain(|_, id| {
-            if let Some(new) = remap[*id as usize] {
+        let renumber = |id: &mut VarId| match remap[*id as usize] {
+            Some(new) => {
                 *id = new;
                 true
-            } else {
-                false
             }
-        });
-        for atoms in self.relation_atoms.values_mut() {
-            atoms.retain_mut(|id| {
-                if let Some(new) = remap[*id as usize] {
-                    *id = new;
-                    true
-                } else {
-                    false
-                }
-            });
+            None => false,
+        };
+        for relation in self.catalogue.values_mut() {
+            relation.ids.retain(|_, id| renumber(id));
+            relation.atoms.retain_mut(|id| renumber(id));
         }
         self.refresh_stats();
         remap
+    }
+
+    /// Room for `n` more logical factors in the graph and side tables.
+    fn reserve_factors(&mut self, n: usize) {
+        self.graph.reserve_factors(n);
+        self.factor_rules.reserve(n);
+        self.factor_bindings.reserve(n);
     }
 
     /// Re-reads the graph-size counters of [`Self::stats`] off the graph.
@@ -250,7 +285,7 @@ impl Grounding {
         for (i, f) in g.factors().iter().enumerate() {
             if !g.is_factor_dead(i as u32) {
                 let atoms: Vec<String> = f.vars.iter().map(|&v| name(v)).collect();
-                let rule = &self.factor_rules[i];
+                let rule = self.factor_rule(i as u32);
                 lines.push(format!("factor|{rule}|{:?}|{}|{}", f.kind, atoms.join(" "), f.weight));
             }
         }
@@ -272,57 +307,52 @@ impl Grounding {
 
     /// All ground atoms of a variable relation.
     pub fn atoms_of(&self, relation: &str) -> &[VarId] {
-        self.relation_atoms
-            .get(relation)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.catalogue.get(relation).map_or(&[], |r| r.atoms.as_slice())
     }
 
-    /// Tombstones one logical factor in place (no compaction): detaches
-    /// it from the graph and clears its side-table provenance so label
-    /// and binding-key matches never hit the dead slot. Returns the
-    /// factor's scope (empty when it was already dead).
+    /// Tombstones one logical factor in place (no compaction); its
+    /// provenance stays behind the tombstone, where no live match looks.
+    /// Returns the factor's scope (empty when it was already dead).
     pub fn tombstone_factor(&mut self, idx: u32) -> Vec<VarId> {
-        let vars = self.graph.remove_factor(idx);
-        if !vars.is_empty() {
-            if let Some(label) = self.factor_rules.get_mut(idx as usize) {
-                label.clear();
-            }
-            if let Some(key) = self.factor_bindings.get_mut(idx as usize) {
-                key.clear();
-            }
-        }
-        vars
+        self.graph.remove_factor(idx)
     }
 
     /// Live logical factors produced by `rule_label` from the binding
-    /// with canonical key `binding_key` — the exact provenance match a
-    /// retraction uses to decide which factors a vanished binding owns.
-    pub fn live_factors_matching(&self, rule_label: &str, binding_key: &str) -> Vec<u32> {
-        self.factor_rules
+    /// with key `binding` — the exact provenance match a retraction uses
+    /// to decide which factors a vanished binding owns. Every such
+    /// factor touches the binding's head atom `anchor`, so only that
+    /// atom's factors are compared: O(degree), not O(factors).
+    pub fn live_factors_matching(&self, rule_label: &str, anchor: VarId, binding: &Key) -> Vec<u32> {
+        let Some(rule) = self.rule_labels.iter().position(|l| l == rule_label) else {
+            return Vec::new();
+        };
+        let mut hits: Vec<u32> = self
+            .graph
+            .factors_of(anchor)
             .iter()
-            .zip(self.factor_bindings.iter())
-            .enumerate()
-            .filter(|(i, (label, key))| {
-                !self.graph.is_factor_dead(*i as u32)
-                    && label.as_str() == rule_label
-                    && key.as_str() == binding_key
+            .copied()
+            .filter(|&i| {
+                !self.graph.is_factor_dead(i)
+                    && self.factor_rules[i as usize] == rule as u32
+                    && self.factor_bindings[i as usize] == *binding
             })
-            .map(|(i, _)| i as u32)
-            .collect()
+            .collect();
+        // A factor naming `anchor` twice is listed twice.
+        hits.sort_unstable();
+        hits.dedup();
+        hits
     }
 
     /// Removes a ground atom from the catalogue (id map + per-relation
     /// list). The variable slot itself stays in the graph — pair with
     /// [`FactorGraph::kill_variable`] via [`Grounding::kill_atom`].
     pub fn retract_atom(&mut self, v: VarId) {
-        let Some((relation, values)) = self.atom_meta.get(v as usize).cloned() else {
+        let Some((relation, values)) = self.atom_meta.get(v as usize) else {
             return;
         };
-        self.atom_ids
-            .remove(&(relation.clone(), Self::canonical_key(&values)));
-        if let Some(atoms) = self.relation_atoms.get_mut(&relation) {
-            atoms.retain(|&x| x != v);
+        if let Some(atoms) = self.catalogue.get_mut(relation) {
+            atoms.ids.remove(Key::of(values).as_bytes());
+            atoms.atoms.retain(|&x| x != v);
         }
     }
 
@@ -359,10 +389,10 @@ impl Grounding {
 
 /// The one restriction a rule-body evaluation runs under. The default
 /// restricts nothing (full grounding); bound slot values are a query's
-/// bound atom, `rows` is a semi-naive delta pass. Bound values enter the
-/// binding row *before* the first body atom, so every probe strategy
-/// (hash equi-probe, R-tree spatial probe, condition filters) can
-/// exploit them.
+/// bound atom, `rows` (with `skip`) is a semi-naive delta pass. Bound
+/// values enter the binding row *before* the first body atom, so every
+/// probe strategy (hash equi-probe, R-tree spatial probe, condition
+/// filters) can exploit them.
 #[derive(Debug, Clone, Default)]
 pub struct BoundSeed {
     /// Slots pre-bound with known values.
@@ -374,19 +404,23 @@ pub struct BoundSeed {
     pub within: Option<(usize, Point, f64)>,
     /// Restrict body atom `k` to these row ids of its relation.
     pub rows: Option<(usize, Vec<usize>)>,
+    /// Skip these row ids of body atom `j`, per listed atom.
+    pub skip: Vec<(usize, Vec<usize>)>,
 }
 
-/// Semi-naive delta seeds: one per body atom of `rule` whose relation
-/// has changed rows, restricting that atom to them. A match touching
-/// changed rows at two positions shows up in two passes; the caller's
-/// `seen` set in [`Grounder::ground_rule`] keeps the first.
+/// Semi-naive delta seeds: one per body atom `k` of `rule` whose
+/// relation has changed rows, restricting that atom to them and every
+/// earlier atom to the unchanged rows. A match touching changed rows at
+/// several positions is found once, by the pass of its first such
+/// position, so the passes together enumerate every new match exactly
+/// as often as full grounding would — duplicate rows included.
 pub fn delta_seeds(rule: &CompiledRule, changed: &HashMap<String, Vec<usize>>) -> Vec<BoundSeed> {
-    rule.body
-        .iter()
-        .enumerate()
-        .filter_map(|(k, atom)| {
-            let rows = changed.get(&atom.relation)?;
-            Some(BoundSeed { rows: Some((k, rows.clone())), ..BoundSeed::default() })
+    let changed_at = |k: usize| changed.get(&rule.body[k].relation);
+    (0..rule.body.len())
+        .filter_map(|k| {
+            let rows = changed_at(k)?;
+            let skip = (0..k).filter_map(|j| Some((j, changed_at(j)?.clone()))).collect();
+            Some(BoundSeed { rows: Some((k, rows.clone())), skip, ..BoundSeed::default() })
         })
         .collect()
 }
@@ -401,6 +435,25 @@ pub fn head_values(head: &CompiledAtom, binding: &[Value]) -> Vec<Value> {
             SlotTerm::Wildcard => Value::Null,
         })
         .collect()
+}
+
+/// The [`Key`] of [`head_values`], encoded without building them.
+pub fn head_key(head: &CompiledAtom, binding: &[Value]) -> Key {
+    let mut buf = Vec::new();
+    encode_head(head, binding, &mut buf);
+    Key::from(buf.as_slice())
+}
+
+/// Writes the key of `head` under `binding` into `buf` (cleared first).
+fn encode_head(head: &CompiledAtom, binding: &[Value], buf: &mut Vec<u8>) {
+    buf.clear();
+    for t in &head.terms {
+        match t {
+            SlotTerm::Slot(s) => key::encode(&binding[*s], buf),
+            SlotTerm::Const(v) => key::encode(v, buf),
+            SlotTerm::Wildcard => key::encode(&Value::Null, buf),
+        }
+    }
 }
 
 /// The inverse of [`head_values`]: the seed under which `head`
@@ -488,15 +541,15 @@ impl<'p> Grounder<'p> {
                 }
             }
             ctx.maybe_slow(Phase::Grounding);
-            let mut applied = 0usize;
             self.ground_rule(rule, db, &mut out, &[BoundSeed::default()], None, |g, out, b| {
-                // A single wide join can blow the budget mid-rule;
-                // count-only checks are O(1).
-                applied += 1;
-                if applied.is_multiple_of(BINDING_CHECKPOINT_INTERVAL) {
-                    check_graph_counts(ctx, &out.graph)?;
+                for (i, chunk) in b.chunks(BINDING_CHECKPOINT_INTERVAL).enumerate() {
+                    // A single wide join can blow the budget mid-rule;
+                    // count-only checks are O(1).
+                    if i > 0 {
+                        check_graph_counts(ctx, &out.graph)?;
+                    }
+                    g.apply_bindings(rule, chunk, evidence, out);
                 }
-                g.apply_binding(rule, b, evidence, out);
                 Ok(())
             })?;
             check_graph_budget(ctx, &out.graph)?;
@@ -539,8 +592,8 @@ impl<'p> Grounder<'p> {
     ///
     /// `new_rows` maps relation names to the row indices that were just
     /// added to `db`. Each rule mentioning a changed relation re-runs
-    /// under its [`delta_seeds`]; a match touching two new rows grounds
-    /// exactly once. New spatial factors are generated only for pairs
+    /// under its [`delta_seeds`], which find every new match exactly
+    /// once. New spatial factors are generated only for pairs
     /// with a new endpoint.
     ///
     /// Returns the ids of the newly created ground atoms.
@@ -557,9 +610,8 @@ impl<'p> Grounder<'p> {
             if seeds.is_empty() {
                 continue;
             }
-            let mut seen = HashSet::new();
-            self.ground_rule(rule, db, out, &seeds, Some(&mut seen), |g, out, b| {
-                g.apply_binding(rule, b, evidence, out);
+            self.ground_rule(rule, db, out, &seeds, None, |g, out, b| {
+                g.apply_bindings(rule, &b, evidence, out);
                 Ok(())
             })?;
         }
@@ -574,21 +626,26 @@ impl<'p> Grounder<'p> {
     }
 
     /// The one grounding loop: evaluates `rule` once per seed under a
-    /// `ground.rule` span and hands every binding to `sink`, which
-    /// materializes it ([`Self::apply_binding`]) or records it (the
-    /// retract enumeration of `sya-delta`). With `seen`, a binding whose
-    /// canonical key the set already holds is dropped — the dedup that
-    /// keeps a match found by two seeds, or by two expansions of one
-    /// query closure, to one factor. Full grounding passes `None`: its
-    /// single unrestricted pass finds each match once.
+    /// `ground.rule` span and hands each seed's bindings to `sink` as one
+    /// batch, which materializes it ([`Self::apply_bindings`]) or records
+    /// it (the retract enumeration of `sya-delta`).
+    ///
+    /// `seen` dedupes across calls that can find the same match — the
+    /// expansions of one query closure. It counts, per binding key, how
+    /// many matches earlier passes handed on; a pass hands on only the
+    /// ones beyond that count. One evaluation finds every match of a
+    /// binding it finds at all, so identical bindings from duplicate rows
+    /// keep their multiplicity while a match found again is dropped.
+    /// Full grounding and [`delta_seeds`] pass `None`: they find each
+    /// match once.
     pub fn ground_rule(
         &mut self,
         rule: &CompiledRule,
         db: &mut Database,
         out: &mut Grounding,
         seeds: &[BoundSeed],
-        mut seen: Option<&mut HashSet<String>>,
-        mut sink: impl FnMut(&Self, &mut Grounding, &[Value]) -> Result<(), GroundError>,
+        mut seen: Option<&mut KeyMap<usize>>,
+        mut sink: impl FnMut(&Self, &mut Grounding, Vec<Vec<Value>>) -> Result<(), GroundError>,
     ) -> Result<(), GroundError> {
         let attrs = if self.obs.is_enabled() {
             db.attach_obs(self.obs.clone());
@@ -597,43 +654,54 @@ impl<'p> Grounder<'p> {
             Vec::new()
         };
         let mut span = self.obs.span_with("ground.rule", attrs);
-        let mut bindings = 0usize;
+        let mut total = 0usize;
         for seed in seeds {
-            for binding in self.eval_rule_seeded(rule, db, out, seed)? {
-                if let Some(seen) = seen.as_deref_mut() {
-                    if !seen.insert(Grounding::canonical_key(&binding)) {
-                        continue;
-                    }
+            let mut bindings = self.eval_rule_seeded(rule, db, out, seed)?;
+            if let Some(seen) = seen.as_deref_mut() {
+                let mut found: KeyMap<usize> = KeyMap::default();
+                bindings.retain(|b| {
+                    let key = Key::of(b);
+                    let before = seen.get(&key).copied().unwrap_or(0);
+                    let nth = found.entry(key).or_insert(0);
+                    *nth += 1;
+                    *nth > before
+                });
+                for (key, n) in found {
+                    let count = seen.entry(key).or_insert(0);
+                    *count = (*count).max(n);
                 }
-                bindings += 1;
-                sink(self, out, &binding)?;
             }
+            total += bindings.len();
+            sink(self, out, bindings)?;
         }
-        span.set_attr("bindings", bindings);
-        self.obs.counter_add("ground.bindings_total", bindings as u64);
+        span.set_attr("bindings", total);
+        self.obs.counter_add("ground.bindings_total", total as u64);
         out.stats.rules_executed += 1;
         Ok(())
     }
 
-    /// Instantiates head atoms (and the factor, for inference rules) for
-    /// one satisfying binding; returns the index of the new logical
-    /// factor, if the rule makes one. Atoms deduplicate through the
-    /// catalogue; factors do not — a binding reaches here once because
-    /// [`Self::ground_rule`] dropped its repeats.
-    pub fn apply_binding(
+    /// Instantiates one rule's bindings as a batch: every head atom
+    /// first (resolved through the catalogue, created on first sight),
+    /// then, for an inference rule, one logical factor per binding with
+    /// its provenance. Returns the new factors' indices (none for a
+    /// derivation rule). Atoms deduplicate through the catalogue;
+    /// factors do not — [`Self::ground_rule`] hands each match on once.
+    pub fn apply_bindings(
         &self,
         rule: &CompiledRule,
-        binding: &[Value],
+        bindings: &[Vec<Value>],
         evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
         out: &mut Grounding,
-    ) -> Option<u32> {
-        let vars: Vec<VarId> = rule
-            .head
-            .iter()
-            .map(|atom| self.materialize_atom(atom, binding, evidence, out))
-            .collect();
+    ) -> Vec<u32> {
+        let mut buf = Vec::new();
+        let mut heads: Vec<VarId> = Vec::with_capacity(bindings.len() * rule.head.len());
+        for binding in bindings {
+            for atom in &rule.head {
+                heads.push(self.materialize_atom(atom, binding, evidence, out, &mut buf));
+            }
+        }
         let RuleKind::Inference(op) = rule.kind else {
-            return None;
+            return Vec::new();
         };
         let kind = match op {
             HeadOp::Imply => FactorKind::Imply,
@@ -641,35 +709,38 @@ impl<'p> Grounder<'p> {
             HeadOp::Or => FactorKind::Or,
             HeadOp::IsTrue => FactorKind::IsTrue,
         };
-        // `add_factor` may reuse a tombstoned slot; write the side
-        // tables at the returned index either way.
-        let idx = out.graph.add_factor(Factor::new(kind, vars, rule.weight));
-        let key = Grounding::canonical_key(binding);
-        if idx as usize == out.factor_rules.len() {
-            out.factor_rules.push(rule.label.clone());
-            out.factor_bindings.push(key);
-        } else {
-            out.factor_rules[idx as usize] = rule.label.clone();
-            out.factor_bindings[idx as usize] = key;
-        }
-        Some(idx)
+        out.reserve_factors(bindings.len());
+        let label = out.rule_index(&rule.label);
+        bindings
+            .iter()
+            .zip(heads.chunks(rule.head.len()))
+            .map(|(binding, vars)| {
+                // `add_factor` may reuse a tombstoned slot; the
+                // provenance is written at the returned index.
+                let idx = out.graph.add_factor(Factor::new(kind, vars.to_vec(), rule.weight));
+                out.set_provenance(idx, label, Key::of(binding));
+                idx
+            })
+            .collect()
     }
 
     /// Resolves (creating on first sight) the ground atom of `atom` under
-    /// `binding`.
+    /// `binding`. The probe encodes the head key into `buf`; only a new
+    /// atom builds its head values, display name and owned key.
     fn materialize_atom(
         &self,
         atom: &CompiledAtom,
         binding: &[Value],
         evidence: &dyn Fn(&str, &[Value]) -> Option<u32>,
         out: &mut Grounding,
+        buf: &mut Vec<u8>,
     ) -> VarId {
-        let values = head_values(atom, binding);
-        let key = (atom.relation.clone(), Grounding::canonical_key(&values));
-        if let Some(&id) = out.atom_ids.get(&key) {
+        encode_head(atom, binding, buf);
+        if let Some(id) = out.atom_by_key(&atom.relation, buf) {
             return id;
         }
 
+        let values = head_values(atom, binding);
         let schema = self.program.schema(&atom.relation);
         let location = schema
             .and_then(|s| s.first_spatial_column())
@@ -678,13 +749,12 @@ impl<'p> Grounder<'p> {
             .map(|g| g.representative_point());
         let domain =
             self.config.categorical(&atom.relation).map_or(Domain::Binary, Domain::Categorical);
-        let name = format!("{}({})", atom.relation, Grounding::canonical_key(&values));
         let mut var = Variable {
             id: 0,
             domain,
             location,
             evidence: evidence(&atom.relation, &values),
-            name,
+            name: atom_name(&atom.relation, &values),
         };
         // Out-of-domain evidence (a data error) must not poison the
         // graph or panic mid-grounding; drop it and leave the atom a
@@ -693,12 +763,10 @@ impl<'p> Grounder<'p> {
             var.evidence = None;
         }
         let id = out.graph.add_variable(var);
-        out.atom_ids.insert(key, id);
         out.atom_meta.push((atom.relation.clone(), values));
-        out.relation_atoms
-            .entry(atom.relation.clone())
-            .or_default()
-            .push(id);
+        let relation = out.catalogue.entry(atom.relation.clone()).or_default();
+        relation.ids.insert(Key::from(buf.as_slice()), id);
+        relation.atoms.push(id);
         id
     }
 
@@ -819,16 +887,19 @@ impl<'p> Grounder<'p> {
                 },
                 1,
             );
-            // The row restriction of a delta pass, sorted once per stage.
+            // The row restrictions of a delta pass, sorted once per stage.
+            let sorted = |rows: &Vec<usize>| {
+                let mut rows = rows.clone();
+                rows.sort_unstable();
+                rows.dedup();
+                rows
+            };
             let allowed: Option<Vec<usize>> = match &seed.rows {
-                Some((rk, rows)) if *rk == k => {
-                    let mut rows = rows.clone();
-                    rows.sort_unstable();
-                    rows.dedup();
-                    Some(rows)
-                }
+                Some((rk, rows)) if *rk == k => Some(sorted(rows)),
                 _ => None,
             };
+            let skipped: Option<Vec<usize>> =
+                seed.skip.iter().find(|(j, _)| *j == k).map(|(_, rows)| sorted(rows));
 
             // Ensure indexes exist before the per-binding loop.
             let table = db.table_mut(&atom.relation)?;
@@ -847,7 +918,11 @@ impl<'p> Grounder<'p> {
             };
 
             let mut next: Vec<Vec<Value>> = Vec::new();
+            // Each candidate writes its new slots here and is tested in
+            // place; only a survivor is copied out.
+            let mut scratch: Vec<Value> = Vec::new();
             for binding in &bindings {
+                scratch.clone_from(binding);
                 let probed: Vec<usize>;
                 let candidates: &[usize] = if let Some((probe, col_name)) = &spatial_probe {
                     let center = match probe.center {
@@ -877,7 +952,9 @@ impl<'p> Grounder<'p> {
 
                 let table = db.table(&atom.relation)?;
                 'cand: for &rid in candidates {
-                    if allowed.as_ref().is_some_and(|a| a.binary_search(&rid).is_err()) {
+                    if allowed.as_ref().is_some_and(|a| a.binary_search(&rid).is_err())
+                        || skipped.as_ref().is_some_and(|s| s.binary_search(&rid).is_ok())
+                    {
                         continue;
                     }
                     let Some(row) = table.rows().get(rid) else {
@@ -903,25 +980,24 @@ impl<'p> Grounder<'p> {
                             _ => {}
                         }
                     }
-                    // Extend binding with newly bound slots.
-                    let mut extended = binding.clone();
+                    // Extend the binding with newly bound slots.
                     for (pos, t) in atom.terms.iter().enumerate() {
                         if let SlotTerm::Slot(s) = t {
                             if !bound_before.contains(s) {
-                                extended[*s] = row[pos].clone();
+                                scratch[*s].clone_from(&row[pos]);
                             }
                         }
                     }
                     // Apply this stage's conditions.
                     for &ci in &conds_at[k] {
                         if !rule.conditions[ci]
-                            .matches(&extended)
+                            .matches(&scratch)
                             .map_err(GroundError::Store)?
                         {
                             continue 'cand;
                         }
                     }
-                    next.push(extended);
+                    next.push(scratch.clone());
                 }
             }
             bindings = next;
@@ -1205,6 +1281,20 @@ struct SpatialProbe {
     center: ProbeCenter,
     new_col: usize,
     candidate_radius: f64,
+}
+
+/// The display name of a ground atom: `relation(v1\u{1f}v2...)`.
+fn atom_name(relation: &str, values: &[Value]) -> String {
+    use std::fmt::Write;
+    let mut name = format!("{relation}(");
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            name.push('\u{1f}');
+        }
+        let _ = write!(name, "{v}");
+    }
+    name.push(')');
+    name
 }
 
 /// Full budget checkpoint: counts plus the O(n) memory estimate. Run at
@@ -1671,19 +1761,82 @@ mod tests {
     fn factor_bindings_locate_a_rule_binding_exactly() {
         let g = ground(10, GroundConfig { generate_spatial_factors: false, ..Default::default() });
         assert_eq!(g.factor_bindings.len(), g.graph.num_factors());
-        // Every inference factor is findable by its provenance.
-        for (i, key) in g.factor_bindings.iter().enumerate() {
-            let label = &g.factor_rules[i];
-            let hits = g.live_factors_matching(label, key);
-            assert!(hits.contains(&(i as u32)));
+        // Every inference factor is findable by its provenance, through
+        // either of its atoms.
+        for (i, (key, f)) in g.factor_bindings.iter().zip(g.graph.factors()).enumerate() {
+            let label = g.factor_rule(i as u32);
+            for &v in &f.vars {
+                assert_eq!(g.live_factors_matching(label, v, key), vec![i as u32]);
+            }
         }
         // Tombstoning removes the factor from provenance matches.
         let mut g = g;
         let key = g.factor_bindings[0].clone();
-        let label = g.factor_rules[0].clone();
-        let before = g.live_factors_matching(&label, &key).len();
+        let anchor = g.graph.factors()[0].vars[0];
+        let label = g.factor_rule(0).to_owned();
+        assert_eq!(g.live_factors_matching(&label, anchor, &key).len(), 1);
         g.tombstone_factor(0);
-        assert_eq!(g.live_factors_matching(&label, &key).len(), before - 1);
+        assert!(g.live_factors_matching(&label, anchor, &key).is_empty());
+        assert!(g.live_factors_matching("no such rule", anchor, &key).is_empty());
+    }
+
+    #[test]
+    fn a_separator_inside_text_keeps_two_atoms_apart() {
+        // Under the old text key both rows rendered as
+        // `1\u{1f}'a'\u{1f}'b'\u{1f}'c'` and grounded one atom.
+        let src = r#"
+        Row(id bigint, a text, b text).
+        T?(id bigint, a text, b text).
+        D: T(I, A, B) = NULL :- Row(I, A, B).
+        "#;
+        let program = parse_program(src).unwrap();
+        let compiled =
+            compile(&program, &GeomConstants::new(), DistanceMetric::Euclidean).unwrap();
+        let mut db = Database::new();
+        let schema = TableSchema::new(vec![
+            Column::new("id", DataType::BigInt),
+            Column::new("a", DataType::Text),
+            Column::new("b", DataType::Text),
+        ]);
+        let t = db.create_table("Row", schema).unwrap();
+        let first = [Value::Int(1), Value::from("a'\u{1f}'b"), Value::from("c")];
+        let second = [Value::Int(1), Value::from("a"), Value::from("b'\u{1f}'c")];
+        t.insert(first.to_vec()).unwrap();
+        t.insert(second.to_vec()).unwrap();
+        let g = Grounder::new(&compiled, GroundConfig::default())
+            .ground(&mut db, &|_, _| None)
+            .unwrap();
+        assert_eq!(g.graph.num_variables(), 2);
+        let (a, b) = (g.atom_id("T", &first).unwrap(), g.atom_id("T", &second).unwrap());
+        assert_ne!(a, b);
+        // The display names keep their text form, so they still meet.
+        assert_eq!(g.graph.variable(a).name, g.graph.variable(b).name);
+    }
+
+    #[test]
+    fn an_int_and_an_integral_double_are_one_atom() {
+        let src = r#"
+        A(id bigint).
+        B(id double).
+        Y?(id bigint).
+        D1: Y(X) = NULL :- A(X).
+        D2: Y(X) = NULL :- B(X).
+        "#;
+        let program = parse_program(src).unwrap();
+        let compiled =
+            compile(&program, &GeomConstants::new(), DistanceMetric::Euclidean).unwrap();
+        let mut db = Database::new();
+        let a = db.create_table("A", TableSchema::new(vec![Column::new("id", DataType::BigInt)]));
+        a.unwrap().insert(vec![Value::Int(2)]).unwrap();
+        let b = db.create_table("B", TableSchema::new(vec![Column::new("id", DataType::Double)]));
+        let b = b.unwrap();
+        b.insert(vec![Value::Double(2.0)]).unwrap();
+        b.insert(vec![Value::Double(2.5)]).unwrap();
+        let g = Grounder::new(&compiled, GroundConfig::default())
+            .ground(&mut db, &|_, _| None)
+            .unwrap();
+        assert_eq!(g.graph.num_variables(), 2);
+        assert_eq!(g.atom_id("Y", &[Value::Double(2.0)]), g.atom_id("Y", &[Value::Int(2)]));
     }
 
     #[test]
@@ -1703,13 +1856,13 @@ mod tests {
         assert_eq!(seeds.len(), 2, "one pass per body atom over the changed relation");
         let bindings = grounder.eval_rule_seeded(rule, &mut db, &mut out, &seeds[0]).unwrap();
         assert_eq!(bindings.len(), 4);
-        // The loop drops the match the second pass finds again: well 2
-        // pairs with each of its four partners in both positions.
-        let mut seen = HashSet::new();
+        // The second pass sees well 2 only as the partner, and never
+        // again as the first atom: each of its eight matches (four
+        // partners, both positions) is found once.
         let mut n = 0;
         grounder
-            .ground_rule(rule, &mut db, &mut out, &seeds, Some(&mut seen), |_, _, _| {
-                n += 1;
+            .ground_rule(rule, &mut db, &mut out, &seeds, None, |_, _, b| {
+                n += b.len();
                 Ok(())
             })
             .unwrap();

@@ -15,22 +15,28 @@
 //!    variables the `O(h²)` per-pair factor blow-up is pruned with the
 //!    co-occurrence threshold `T` of Section IV-C ([`pruning`]).
 //!
+//! Atoms, bindings and factor provenance are identified by one typed,
+//! hashed tuple [`Key`] ([`key`]), so grounding formats no text per
+//! binding or per atom probe.
+//!
 //! [`stepfn`] implements the DeepDive workaround the paper benchmarks in
 //! Section VI-B2: approximating one spatial weighting function with a
 //! ladder of fixed-weight distance-band rules.
 
 pub mod cellmap;
 pub mod grounder;
+pub mod key;
 pub mod pruning;
 pub mod stepfn;
 pub mod translator;
 
 pub use cellmap::{pyramid_bounds, pyramid_cell_map, CellVariableMap};
 pub use grounder::{
-    candidate_radius, default_bandwidth, delta_seeds, head_values, metric_distance,
+    candidate_radius, default_bandwidth, delta_seeds, head_key, head_values, metric_distance,
     negligible_radius, unify_head, BoundSeed, GroundConfig, Grounder, Grounding, GroundingStats,
     SpatialParams,
 };
+pub use key::{Key, KeyMap};
 pub use pruning::{allowed_domain_pairs, build_cooccurrence};
 pub use stepfn::{expand_step_function_rules, StepFunctionSpec};
 pub use translator::{translate_rule, SqlQuery};

@@ -8,7 +8,7 @@ use sya_fg::VarId;
 use sya_geom::{Point, Rect};
 use sya_ground::{
     candidate_radius, metric_distance, unify_head, BoundSeed, GroundConfig, Grounder, Grounding,
-    SpatialParams,
+    KeyMap, SpatialParams,
 };
 use sya_infer::{spatial_gibbs_with, MarginalCounts, PyramidIndex};
 use sya_lang::{CompiledAtom, CompiledProgram, CompiledRule, RuleKind, SlotTerm};
@@ -428,7 +428,7 @@ fn ground_closure(
                 continue;
             };
             grounder.ground_rule(rule, db, &mut out, &[seed], None, |g, out, b| {
-                g.apply_binding(rule, b, evidence, out);
+                g.apply_bindings(rule, &b, evidence, out);
                 Ok(())
             })?;
         }
@@ -451,10 +451,11 @@ fn ground_closure(
     let mut hops: HashMap<VarId, usize> = seeds.iter().map(|s| (s.var, 0)).collect();
     let mut expanded: HashSet<VarId> = HashSet::new();
     let mut frontier: VecDeque<VarId> = seeds.iter().map(|s| s.var).collect();
-    // Logical factors are deduplicated by (rule, full binding) — the same
-    // key the full grounder's one-pass evaluation implies; spatial pairs
-    // by unordered endpoints.
-    let mut factor_seen: Vec<HashSet<String>> = vec![HashSet::new(); program.rules.len()];
+    // Logical factors are deduplicated by (rule, binding key), keeping
+    // the multiplicity of identical bindings (see `Grounder::ground_rule`)
+    // — what the full grounder's one-pass evaluation implies; spatial
+    // pairs by unordered endpoints.
+    let mut factor_seen: Vec<KeyMap<usize>> = vec![KeyMap::default(); program.rules.len()];
     let mut pair_seen: HashSet<(VarId, VarId)> = HashSet::new();
     let mut unselective_warned: HashSet<usize> = HashSet::new();
 
@@ -509,7 +510,7 @@ fn ground_closure(
                 }
                 let seen = Some(&mut factor_seen[ri]);
                 grounder.ground_rule(rule, db, &mut out, &[seed], seen, |g, out, b| {
-                    if let Some(f) = g.apply_binding(rule, b, evidence, out) {
+                    for f in g.apply_bindings(rule, &b, evidence, out) {
                         discovered.extend(&out.graph.factors()[f as usize].vars);
                     }
                     Ok(())
@@ -530,14 +531,14 @@ fn ground_closure(
                 };
                 let reach = candidate_radius(gcfg.metric, params.radius);
                 let seed = BoundSeed { within: Some((*ls, p, reach)), ..BoundSeed::default() };
-                grounder.ground_rule(rule, db, &mut out, &[seed], None, |g, out, b| {
-                    let near = b[*ls].as_geom().is_some_and(|q| {
-                        metric_distance(gcfg.metric, &p, &q.representative_point())
-                            <= params.radius
+                grounder.ground_rule(rule, db, &mut out, &[seed], None, |g, out, mut b| {
+                    b.retain(|b| {
+                        b[*ls].as_geom().is_some_and(|q| {
+                            metric_distance(gcfg.metric, &p, &q.representative_point())
+                                <= params.radius
+                        })
                     });
-                    if near {
-                        g.apply_binding(rule, b, evidence, out);
-                    }
+                    g.apply_bindings(rule, &b, evidence, out);
                     Ok(())
                 })?;
             }

@@ -23,7 +23,8 @@
 //! 2. **Neighborhood closure** — a breadth-first backward pass from the
 //!    seed atom expands up to [`QueryConfig::hop_depth`] hops: logical
 //!    factors via seeded rule evaluation (deduplicated by rule and
-//!    canonical binding across expansions), spatial factors via an
+//!    typed binding key across expansions, duplicate rows keeping their
+//!    multiplicity), spatial factors via an
 //!    R-tree range probe within the relation's spatial radius, emitted
 //!    by the grounding layer's own pair emitter
 //!    ([`GroundConfig::emit_spatial_pair`](sya_ground::GroundConfig::emit_spatial_pair))

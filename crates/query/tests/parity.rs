@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 use sya_fg::VarId;
 use sya_geom::{DistanceMetric, Point};
-use sya_ground::{GroundConfig, Grounder, Grounding};
+use sya_ground::{GroundConfig, Grounder, Grounding, Key};
 use sya_infer::{spatial_gibbs_with, InferConfig, PyramidIndex};
 use sya_lang::{compile, parse_program, CompiledProgram, GeomConstants};
 use sya_query::{QueryConfig, QueryGrounder};
@@ -224,9 +224,9 @@ fn full_hops(grounding: &Grounding, seed: VarId) -> HashMap<VarId, usize> {
 }
 
 /// Identity of an atom across the two groundings.
-fn atom_key(grounding: &Grounding, v: VarId) -> (String, String) {
+fn atom_key(grounding: &Grounding, v: VarId) -> (String, Key) {
     let (rel, values) = &grounding.atom_meta[v as usize];
-    (rel.clone(), Grounding::canonical_key(values))
+    (rel.clone(), Key::of(values))
 }
 
 #[test]
@@ -240,18 +240,18 @@ fn neighborhood_never_leaves_the_bound_atom_closure() {
     let id = kb.mid_query_id();
 
     // Full-graph factor signatures the lazy factors must be drawn from.
-    let logical: HashSet<(String, Vec<(String, String)>)> = full
+    let logical: HashSet<(String, Vec<(String, Key)>)> = full
         .graph
         .factors()
         .iter()
-        .zip(&full.factor_rules)
-        .map(|(f, label)| {
+        .enumerate()
+        .map(|(i, f)| {
             let mut ends: Vec<_> = f.vars.iter().map(|&v| atom_key(&full, v)).collect();
             ends.sort();
-            (label.clone(), ends)
+            (full.factor_rule(i as u32).to_owned(), ends)
         })
         .collect();
-    let spatial: HashSet<(Vec<(String, String)>, u64)> = full
+    let spatial: HashSet<(Vec<(String, Key)>, u64)> = full
         .graph
         .spatial_factors()
         .iter()
@@ -291,7 +291,8 @@ fn neighborhood_never_leaves_the_bound_atom_closure() {
 
         // Every lazy factor exists verbatim in the full grounding, with
         // at least one endpoint strictly inside the horizon.
-        for (f, label) in nh.grounding.graph.factors().iter().zip(&nh.grounding.factor_rules) {
+        for (i, f) in nh.grounding.graph.factors().iter().enumerate() {
+            let label = nh.grounding.factor_rule(i as u32).to_owned();
             let mut ends: Vec<_> =
                 f.vars.iter().map(|&v| atom_key(&nh.grounding, v)).collect();
             ends.sort();
