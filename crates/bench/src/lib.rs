@@ -46,6 +46,7 @@ pub fn parallel_random_gibbs(
         &sya_runtime::ExecContext::unbounded(),
         sya_infer::CheckpointOptions::none(),
         None,
+        sya_infer::Owners::RoundRobin,
     )
     .expect("a fresh single-instance run completes")
 }

@@ -34,24 +34,16 @@ impl CheckpointConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingConfig {
     /// Number of shards the partitioner cuts the KB into. `0` disables
-    /// sharding; `1` routes through the shard executor with one shard
-    /// (useful as the parity reference).
+    /// sharding; `1` runs the sharded path with one shard (useful as the
+    /// parity reference).
     pub shards: usize,
     /// Pyramid level of the cut (`2^l × 2^l` candidate cells).
     pub partition_level: u8,
-    /// Shard-retirement tolerance (DESIGN.md §12): a shard may stop
-    /// sampling once its epoch delta stays under this. `None` (the
-    /// default) disables retirement, keeping the merged marginals
-    /// bit-identical to the unsharded run.
-    pub retire_tol: Option<f64>,
-    /// Refuse retirement while the boundary-exposed marginals have
-    /// drifted past the tolerance since the quiet streak began.
-    pub retire_strict: bool,
 }
 
 impl Default for ShardingConfig {
     fn default() -> Self {
-        ShardingConfig { shards: 0, partition_level: 4, retire_tol: None, retire_strict: false }
+        ShardingConfig { shards: 0, partition_level: 4 }
     }
 }
 
@@ -249,19 +241,6 @@ impl SyaConfig {
     /// Pyramid level the shard partitioner cuts at.
     pub fn with_partition_level(mut self, level: u8) -> Self {
         self.sharding.partition_level = level;
-        self
-    }
-
-    /// Enables shard retirement at this boundary-delta tolerance.
-    pub fn with_retire_tol(mut self, tol: f64) -> Self {
-        self.sharding.retire_tol = Some(tol);
-        self
-    }
-
-    /// Strict retirement: refuse to retire above the tolerance instead
-    /// of warning (pairs with `--retire-tol-strict`).
-    pub fn with_retire_strict(mut self, strict: bool) -> Self {
-        self.sharding.retire_strict = strict;
         self
     }
 

@@ -9,7 +9,7 @@ use sya_ckpt::CheckpointStore;
 use sya_geom::DistanceMetric;
 use sya_ground::{expand_step_function_rules, Grounder, Grounding};
 use sya_infer::{
-    run_gibbs, CheckpointOptions, CheckpointState, InferConfig, PyramidIndex, SamplerRun, Schedule,
+    run_gibbs, CheckpointOptions, CheckpointState, InferConfig, Owners, PyramidIndex, Schedule,
 };
 use sya_lang::{compile_with, parse_program_with, CompiledProgram, GeomConstants};
 use sya_obs::Obs;
@@ -146,8 +146,8 @@ impl SyaSession {
             None => CheckpointOptions::none(),
         };
 
-        // Sharding routes through the shard executor, which only speaks
-        // the spatial sampler's sweep schedule.
+        // A shard plan cuts the pyramid, so only the spatial sampler has
+        // one.
         if self.config.sharding.is_enabled() && self.config.sampler != SamplerKind::Spatial {
             return Err(SyaError::Config(format!(
                 "sharding (--shards {}) requires the spatial sampler; the {:?} sampler \
@@ -164,6 +164,10 @@ impl SyaSession {
             Some(CheckpointState::Run { chains, .. }) => Some(chains),
             _ => None,
         };
+        let graph = &grounding.graph;
+        let gibbs = |schedule: &Schedule, cfg: &InferConfig, chains| {
+            run_gibbs(graph, schedule, cfg, None, ctx, ckpt, chains, Owners::RoundRobin)
+        };
         // The non-spatial samplers are single-chain baselines.
         let single = InferConfig { instances: 1, ..infer.clone() };
         let (run, pyramid) = match self.config.sampler {
@@ -171,27 +175,24 @@ impl SyaSession {
                 let tp = Instant::now();
                 let pyramid = {
                     let mut span = obs.span("infer.pyramid_build");
-                    let pyramid =
-                        PyramidIndex::build(&grounding.graph, infer.levels, infer.cell_capacity);
+                    let pyramid = PyramidIndex::build(graph, infer.levels, infer.cell_capacity);
                     span.set_attr("levels", infer.levels);
                     pyramid
                 };
                 obs.gauge_set("infer.pyramid_build_seconds", tp.elapsed().as_secs_f64());
                 let run = if self.config.sharding.is_enabled() {
-                    self.run_sharded_inference(&grounding.graph, &pyramid, ctx)?
+                    let plan = self.shard_plan(graph, obs);
+                    sya_shard::run_in_process(graph, &pyramid, &plan, infer, ctx, ckpt, chains)?
                 } else {
-                    let schedule = Schedule::spatial(&grounding.graph, &pyramid, infer);
-                    run_gibbs(&grounding.graph, &schedule, infer, None, ctx, ckpt, chains)?
+                    gibbs(&Schedule::spatial(graph, &pyramid, infer), infer, chains)?
                 };
                 (run, Some(pyramid))
             }
             SamplerKind::Sequential => {
-                let schedule = Schedule::sequential(&grounding.graph);
-                (run_gibbs(&grounding.graph, &schedule, &single, None, ctx, ckpt, chains)?, None)
+                (gibbs(&Schedule::sequential(graph), &single, chains)?, None)
             }
             SamplerKind::ParallelRandom(k) => {
-                let schedule = Schedule::random_buckets(&grounding.graph, k, infer.seed);
-                (run_gibbs(&grounding.graph, &schedule, &single, None, ctx, ckpt, chains)?, None)
+                (gibbs(&Schedule::random_buckets(graph, k, infer.seed), &single, chains)?, None)
             }
         };
         drop(infer_span);
@@ -212,39 +213,6 @@ impl SyaSession {
             outcome,
             warnings,
             telemetry: run.telemetry,
-        })
-    }
-
-    /// The sharded spatial path (DESIGN.md §12): cuts the grounded
-    /// graph along pyramid cells at the configured partition level,
-    /// runs one sampler chain per shard on its own thread, and merges
-    /// the per-shard marginals. Without a retirement policy (the `sya
-    /// run` path) the merged counts are bit-identical to `--shards 1`.
-    /// Per-shard checkpoints live in `shard-NN/` subdirectories of the
-    /// checkpoint dir, tied together by a manifest; the flat-directory
-    /// recovery of [`prepare_checkpoints`] finds nothing there, so the
-    /// two layouts never shadow each other.
-    fn run_sharded_inference(
-        &self,
-        graph: &sya_fg::FactorGraph,
-        pyramid: &PyramidIndex,
-        ctx: &ExecContext,
-    ) -> Result<SamplerRun, SyaError> {
-        let plan = self.shard_plan(graph, ctx.obs());
-        let report = sya_shard::run_sharded(
-            graph,
-            pyramid,
-            &plan,
-            &self.config.infer,
-            self.retire_policy(),
-            &self.shard_ckpt_options(),
-            ctx,
-        )?;
-        Ok(SamplerRun {
-            counts: report.counts,
-            outcome: report.outcome,
-            warnings: report.warnings,
-            telemetry: report.telemetry,
         })
     }
 
@@ -300,17 +268,6 @@ impl SyaSession {
             ));
         }
         plan
-    }
-
-    /// The retirement policy implied by the sharding config: `None`
-    /// unless a tolerance was set, preserving bit-parity with the
-    /// unsharded run by default.
-    fn retire_policy(&self) -> Option<sya_shard::RetirePolicy> {
-        self.config.sharding.retire_tol.map(|tol| sya_shard::RetirePolicy {
-            tol,
-            strict: self.config.sharding.retire_strict,
-            ..sya_shard::RetirePolicy::default()
-        })
     }
 
     fn shard_ckpt_options(&self) -> sya_shard::ShardCkptOptions {
@@ -413,14 +370,10 @@ impl SyaSession {
         let (grounding, _) = self.ground_phase(db, evidence, ctx)?;
         let plan = self.shard_plan(&grounding.graph, ctx.obs());
         // The session config is the single source of truth for the
-        // checkpoint wiring and retirement policy: the coordinator and
-        // every worker parse the same flags, so deriving both here keeps
-        // the fleet consistent without trusting the caller to copy them.
-        let opts = sya_shard::WorkerOptions {
-            ckpt: self.shard_ckpt_options(),
-            retire: self.retire_policy(),
-            ..opts.clone()
-        };
+        // checkpoint wiring: the coordinator and every worker parse the
+        // same flags, so deriving it here keeps the fleet consistent
+        // without trusting the caller to copy it.
+        let opts = sya_shard::WorkerOptions { ckpt: self.shard_ckpt_options(), ..opts.clone() };
         sya_shard::run_worker(&grounding.graph, &plan, &self.config.infer, &opts, ctx).map_err(
             |detail| SyaError::Infer(sya_infer::InferError::Cluster { detail }),
         )
@@ -477,8 +430,10 @@ impl SyaSession {
         if !cfg.resume {
             return Ok((Some(store), None));
         }
-        // `Schedule::kind` of the schedule `construct_with` will run.
+        // `Schedule::kind` of the schedule `construct_with` will run; a
+        // sharded run is one instance, whatever its shard count.
         let (expected_kind, instances) = match self.config.sampler {
+            SamplerKind::Spatial if self.config.sharding.is_enabled() => ("spatial", 1),
             SamplerKind::Spatial => ("spatial", self.config.infer.instances.max(1)),
             SamplerKind::Sequential => ("sequential", 1),
             SamplerKind::ParallelRandom(_) => ("parallel", 1),
@@ -560,6 +515,7 @@ impl SyaSession {
 mod tests {
     use super::*;
     use sya_data::{ebola_dataset, gwdb_dataset, GwdbConfig};
+    use sya_runtime::FaultPlan;
 
     fn build(dataset: &mut sya_data::Dataset, config: SyaConfig) -> KnowledgeBase {
         let session = SyaSession::new(
@@ -890,19 +846,101 @@ mod tests {
         }
     }
 
+    /// An in-process sharded run checkpoints into the flat store, so a
+    /// run stopped at `--shards 2` resumes at `--shards 3` and lands on
+    /// the uninterrupted run's counts.
     #[test]
-    fn sharded_construct_writes_per_shard_checkpoints_and_manifest() {
+    fn sharded_checkpoint_resumes_at_another_shard_count() {
         let dir = std::env::temp_dir().join(format!("sya_core_shard_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = SyaConfig::sya()
-            .with_epochs(60)
-            .with_shards(2)
-            .with_partition_level(3)
-            .with_checkpoints(&dir, 10);
-        let mut d = gwdb_dataset(&GwdbConfig { n_wells: 60, ..Default::default() });
-        let kb = build(&mut d, cfg);
-        assert!(kb.outcome.is_completed());
+        let data = || gwdb_dataset(&GwdbConfig { n_wells: 60, ..Default::default() });
+        let cfg = SyaConfig::sya().with_epochs(120).with_seed(5).with_partition_level(3);
+        let reference = build(&mut data(), cfg.clone().with_shards(2));
+        // First leg: the same chain stopped at epoch 60.
+        let mut first = cfg.clone().with_shards(2).with_checkpoints(&dir, 10);
+        first.infer.epochs = 60;
+        build(&mut data(), first);
         assert!(dir.join("factor-graph.json").exists(), "graph witness persists");
+        assert!(!dir.join(sya_shard::MANIFEST_FILE).exists(), "in-process runs keep no manifest");
+        let resume = cfg.with_shards(3).with_checkpoints(&dir, 10).with_resume(true);
+        let resumed = build(&mut data(), resume);
+        assert!(resumed.outcome.is_completed(), "{:?}", resumed.warnings);
+        assert_eq!(resumed.counts, reference.counts, "resumed at --shards 3");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Launches each cluster worker as a thread that grounds its own
+    /// copy of the GWDB dataset through [`SyaSession::run_cluster_worker`],
+    /// as `sya shard-worker` does in its own process.
+    struct SessionLauncher {
+        config: SyaConfig,
+        n_wells: usize,
+    }
+
+    struct DetachedWorker;
+
+    impl sya_shard::WorkerHandle for DetachedWorker {
+        fn kill(&mut self) {}
+    }
+
+    impl sya_shard::WorkerLauncher for SessionLauncher {
+        fn launch(
+            &self,
+            spec: &sya_shard::WorkerSpec,
+        ) -> Result<Box<dyn sya_shard::WorkerHandle>, String> {
+            let (config, n_wells) = (self.config.clone(), self.n_wells);
+            let opts = sya_shard::WorkerOptions {
+                shard: spec.shard,
+                connect: spec.connect.clone(),
+                ..Default::default()
+            };
+            std::thread::spawn(move || {
+                let mut d = gwdb_dataset(&GwdbConfig { n_wells, ..Default::default() });
+                let session =
+                    SyaSession::new(&d.program, d.constants.clone(), d.metric, config).unwrap();
+                let evidence = d.evidence.clone();
+                let ev = move |_: &str, vals: &[Value]| {
+                    vals.first().and_then(Value::as_int).and_then(|id| evidence.get(&id).copied())
+                };
+                let ctx = ExecContext::unbounded();
+                let _ = session.run_cluster_worker(&mut d.db, &ev, &opts, &ctx);
+            });
+            Ok(Box::new(DetachedWorker))
+        }
+    }
+
+    /// The cluster construct keeps one checkpoint store per shard, tied
+    /// together by the coordinator's manifest, and its merged counts
+    /// equal the in-process sharded run.
+    #[test]
+    fn sharded_construct_writes_per_shard_checkpoints_and_manifest() {
+        let dir = std::env::temp_dir().join(format!("sya_core_cluster_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let n_wells = 60;
+        let data = || gwdb_dataset(&GwdbConfig { n_wells, ..Default::default() });
+        let cfg = SyaConfig::sya().with_epochs(60).with_shards(2).with_partition_level(3);
+        let reference = build(&mut data(), cfg.clone());
+        let cfg = cfg.with_checkpoints(&dir, 10);
+        let mut d = data();
+        let session =
+            SyaSession::new(&d.program, d.constants.clone(), d.metric, cfg.clone()).unwrap();
+        let evidence = d.evidence.clone();
+        let ev = move |_: &str, vals: &[Value]| {
+            vals.first().and_then(Value::as_int).and_then(|id| evidence.get(&id).copied())
+        };
+        let launcher = SessionLauncher { config: cfg, n_wells };
+        let kb = session
+            .construct_cluster(
+                &mut d.db,
+                &ev,
+                &launcher,
+                &sya_shard::ClusterConfig::default(),
+                None,
+                &ExecContext::unbounded(),
+            )
+            .unwrap();
+        assert!(kb.outcome.is_completed(), "{:?}", kb.warnings);
+        assert_eq!(kb.counts, reference.counts, "cluster must equal the in-process run");
         let manifest = sya_shard::ShardManifest::read(&dir).expect("shard manifest");
         assert_eq!(manifest.shards, 2);
         for name in &manifest.stores {
@@ -919,6 +957,38 @@ mod tests {
             assert!(ckpts >= 1, "store {name} holds checkpoints");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lane that panics under `--shards 2` is re-sampled like any
+    /// other: the run degrades and the counts do not move.
+    #[test]
+    fn sharded_construct_resamples_a_panicked_lane_with_identical_counts() {
+        let data = || gwdb_dataset(&GwdbConfig { n_wells: 60, ..Default::default() });
+        let cfg = SyaConfig::sya().with_epochs(60).with_seed(5).with_partition_level(3);
+        let cfg = cfg.with_shards(2);
+        let clean = build(&mut data(), cfg.clone());
+        let d = data();
+        let session = SyaSession::new(&d.program, d.constants, d.metric, cfg).unwrap();
+        let plan = FaultPlan {
+            panic_worker_in_instance: Some(0),
+            panic_at_epoch: 7,
+            ..FaultPlan::none()
+        };
+        let ctx = ExecContext::unbounded().with_faults(plan);
+        let mut d = data();
+        let evidence = d.evidence.clone();
+        let faulty = session
+            .construct_with(
+                &mut d.db,
+                &move |_, vals| {
+                    vals.first().and_then(Value::as_int).and_then(|id| evidence.get(&id).copied())
+                },
+                &ctx,
+            )
+            .unwrap();
+        assert_eq!(faulty.outcome, sya_runtime::RunOutcome::Degraded, "{:?}", faulty.warnings);
+        assert!(faulty.warnings.iter().any(|w| w.contains("re-sampled")), "{:?}", faulty.warnings);
+        assert_eq!(faulty.counts, clean.counts);
     }
 
     #[test]

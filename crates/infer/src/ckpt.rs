@@ -23,7 +23,7 @@ use sya_fg::FactorGraph;
 pub type RestoredChain = (usize, Vec<u32>, MarginalCounts, bool);
 
 /// Persistent state of one Gibbs chain (one inference instance, or one
-/// shard of a sharded run).
+/// cluster worker's share of it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChainState {
     /// Next epoch to execute (epochs `0..epoch` are complete).
@@ -79,10 +79,10 @@ pub enum CheckpointState {
     /// [`Schedule::kind`](crate::Schedule::kind) that wrote it and must
     /// match the schedule that resumes it.
     Run { sampler: String, chains: Vec<ChainState> },
-    /// One shard of a spatially sharded run (`sya-shard`): the shard's
-    /// counts plus a full board snapshot. Shards run in lockstep and
-    /// save into per-shard stores; a manifest beside the stores ties the
-    /// set together.
+    /// One worker of a `sya-shard` cluster run: the counts of the
+    /// shard's own variables plus the full board. Each worker saves into
+    /// its own store; a manifest beside the stores ties the set
+    /// together.
     Shard { shard: u64, of: u64, chain: ChainState },
 }
 

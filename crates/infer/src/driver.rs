@@ -1,7 +1,7 @@
 //! The one Gibbs driver: every sampler is a [`Schedule`] run by
 //! [`run_gibbs`].
 //!
-//! The driver owns the only epoch loop in the crate. It steps `K`
+//! The driver owns the only epoch loop in the repo. It steps `K`
 //! boards (the paper's inference instances) through the schedule in
 //! lockstep — phase by phase, publishing each phase's draws at its
 //! barrier — and handles everything around the sweep: interruption at
@@ -9,13 +9,22 @@
 //! checkpoint and resume, per-epoch telemetry and pseudo-log-likelihood,
 //! and the snapshot fallback for runs stopped before burn-in.
 //!
-//! Parallelism is an execution detail. The work of a phase is the set of
-//! `(board, unit)` pairs; the driver deals it to **lanes** — threads
-//! opened once per run — and runs phases too small to pay for a barrier
-//! inline. Because the kernel's draws depend only on the board at the
-//! phase start (see [`crate::kernel`]), the counts are bit-identical for
-//! every lane count, including after a lane panic: the re-sample redraws
+//! Parallelism is an execution detail. Each board is held as one view
+//! per **owner**, and the [`Owners`] table deals every unit of a phase
+//! to one owner: round-robin for a plain run, a shard plan's cells for a
+//! sharded one. Views are swept on **lanes** — threads opened once per
+//! run — and phases too small to pay for a barrier run inline. Because
+//! the kernel's draws depend only on the board at the phase start (see
+//! [`crate::kernel`]), the counts are bit-identical for every lane and
+//! owner count, including after a lane panic: the re-sample redraws
 //! exactly what the dead lane would have drawn.
+//!
+//! A process that holds only some owners (a cluster worker) passes a
+//! [`Halo`] hook: at every phase barrier it trades this process's draws
+//! for the other owners', and at every epoch end it learns whether the
+//! run goes on. Such a process records counts, evidence and telemetry
+//! only for the variables it owns, so the processes' counts sum to the
+//! single-process run.
 
 use crate::ckpt::{ChainState, CheckpointOptions, CheckpointSink, CheckpointState};
 use crate::kernel::{init_board, telemetry_indicator, tick, View};
@@ -36,6 +45,97 @@ use sya_runtime::{ExecContext, Phase, RunOutcome};
 /// lanes pays for its two barrier crossings.
 const MIN_PARALLEL_WORK: usize = 256;
 
+/// How [`run_gibbs`] deals the units of each phase to the views of a
+/// board, and which of them this process samples.
+pub enum Owners<'a> {
+    /// View `j` sweeps units `j, j + views, …` of every phase, `views`
+    /// sized to the lanes. The plain, unsharded run.
+    RoundRobin,
+    /// A shard plan's owner table (`owner[v]` for every variable): a unit
+    /// goes to the view of the owner of its variables, and every owner
+    /// is sampled here.
+    Plan(&'a [u32]),
+    /// The same table, but this process holds owner `held` alone and
+    /// runs one instance (`cfg.instances` is not consulted); every other
+    /// owner's draws arrive through `halo`.
+    Held { owner: &'a [u32], held: u32, halo: &'a mut dyn Halo },
+}
+
+/// The transport of a process that holds only some owners.
+pub trait Halo {
+    /// Trades this process's draws of one phase for every other owner's
+    /// draws of it. An `Err` ends the run.
+    fn exchange(
+        &mut self,
+        epoch: usize,
+        phase: usize,
+        own: &[(VarId, u32)],
+    ) -> Result<Vec<(VarId, u32)>, String>;
+
+    /// Closes `epoch` with this process's running totals and the epoch's
+    /// marginal delta over its variables. `Some(outcome)` stops the run
+    /// after this epoch; an `Err` ends it at once.
+    fn end_epoch(
+        &mut self,
+        epoch: usize,
+        samples: u64,
+        flips: u64,
+        max_delta: f64,
+    ) -> Result<Option<RunOutcome>, String>;
+}
+
+/// Per phase, per view of a board: the indices of the units that view
+/// sweeps, in order.
+type Deal = Vec<Vec<Vec<usize>>>;
+
+/// The owner of `unit` under a per-variable owner table. A unit is the
+/// atom of sequential sweeping, so it must have one owner: a table that
+/// cuts through it (a sweep level coarser than the partition level) is
+/// refused rather than sampled differently per owner count.
+fn unit_owner(owner: &[u32], phase: usize, u: usize, unit: &[VarId]) -> Result<u32, InferError> {
+    let first = unit.first().map_or(0, |&v| owner[v as usize]);
+    match unit.iter().map(|&v| owner[v as usize]).find(|&o| o != first) {
+        None => Ok(first),
+        Some(other) => Err(InferError::SplitUnit {
+            detail: format!(
+                "unit {u} of phase {phase} holds variables of owners {first} and {other}; \
+                 sweep cells must nest inside partition cells (partition level <= locality \
+                 level, and all-levels sweeps start at level 2)"
+            ),
+        }),
+    }
+}
+
+/// Deals every unit of `schedule` to the view that sweeps it and
+/// returns the views per board with the deal. `views` is the width for
+/// [`Owners::RoundRobin`]; an owner table brings its own.
+fn deal(
+    schedule: &Schedule,
+    table: Option<&[u32]>,
+    held: Option<u32>,
+    views: usize,
+) -> Result<(usize, Deal), InferError> {
+    let views = match (table, held) {
+        (_, Some(_)) => 1,
+        (Some(owner), None) => owner.iter().max().map_or(1, |&m| m as usize + 1),
+        (None, None) => views,
+    };
+    let mut deal = vec![vec![Vec::new(); views]; schedule.len()];
+    for (p, phase) in schedule.phases.iter().enumerate() {
+        for (u, unit) in phase.units.iter().enumerate() {
+            let view = match (table, held) {
+                (None, _) => Some(u % views),
+                (Some(owner), None) => Some(unit_owner(owner, p, u, unit)? as usize),
+                (Some(owner), Some(me)) => (unit_owner(owner, p, u, unit)? == me).then_some(0),
+            };
+            if let Some(view) = view {
+                deal[p][view].push(u);
+            }
+        }
+    }
+    Ok((views, deal))
+}
+
 /// What one inference instance has accumulated. The assignment itself
 /// lives in the instance's views.
 struct Board {
@@ -48,7 +148,7 @@ struct Board {
 
 /// The shared state of a run's lanes. Board `k` is held as `vpb`
 /// identical views (`k * vpb ..`); view `j` of a board sweeps the units
-/// `j, j + vpb, …` of each phase, and lane `l` serves the views `l,
+/// `deal[phase][j]` of each phase, and lane `l` serves the views `l,
 /// l + lanes, …`.
 struct Lanes<'a> {
     graph: &'a FactorGraph,
@@ -56,6 +156,7 @@ struct Lanes<'a> {
     ctx: &'a ExecContext,
     views: Vec<Mutex<View>>,
     vpb: usize,
+    deal: Deal,
     /// Per board: stream seed, epoch share, dropped flag.
     seeds: Vec<u64>,
     epochs: Vec<usize>,
@@ -93,9 +194,10 @@ impl Lanes<'_> {
             }
         }
         let tick = tick(self.schedule, epoch, phase);
+        let units = &self.schedule.phases[phase].units;
         let mut view = self.view(i);
-        for unit in self.schedule.phases[phase].units.iter().skip(j).step_by(self.vpb) {
-            view.sweep(self.graph, self.seeds[board], tick, unit);
+        for &u in &self.deal[phase][j] {
+            view.sweep(self.graph, self.seeds[board], tick, &units[u]);
         }
     }
 
@@ -218,6 +320,11 @@ fn publish_schedule_gauges(obs: &Obs, schedule: &Schedule, k: usize, share: usiz
 ///   (outcome `Degraded`, same counts); an instance that keeps failing
 ///   is dropped and the marginals average over the survivors. `Err`
 ///   when none survive or the resume state does not fit.
+/// * `owners` deals the units to views ([`Owners`]); `Err(SplitUnit)`
+///   when an owner table cuts through a unit. With [`Owners::Held`] the
+///   halo hook, not `ctx`, decides when the run stops, and a hook error
+///   ends the run with `Err(Cluster)` and no final checkpoint.
+#[allow(clippy::too_many_arguments)]
 pub fn run_gibbs(
     graph: &FactorGraph,
     schedule: &Schedule,
@@ -226,9 +333,22 @@ pub fn run_gibbs(
     ctx: &ExecContext,
     ckpt: CheckpointOptions<'_>,
     resume: Option<Vec<ChainState>>,
+    owners: Owners<'_>,
 ) -> Result<SamplerRun, InferError> {
+    let (table, held, mut halo) = match owners {
+        Owners::RoundRobin => (None, None, None),
+        Owners::Plan(owner) => (Some(owner), None, None),
+        Owners::Held { owner, held, halo } => (Some(owner), Some(held), Some(halo)),
+    };
+    let owns = |v: usize| match (table, held) {
+        (Some(owner), Some(me)) => owner[v] == me,
+        _ => true,
+    };
+    // Telemetry folds the variables this process owns; `None` is all.
+    let owned: Option<Vec<VarId>> =
+        held.map(|_| (0..graph.num_variables()).filter(|&v| owns(v)).map(|v| v as VarId).collect());
     let obs = ctx.obs();
-    let k = cfg.instances.max(1);
+    let k = if held.is_some() { 1 } else { cfg.instances.max(1) };
     let share = (cfg.epochs / k).max(1);
     let burn = cfg.burn_in.min(share - 1);
     let remainder = if cfg.epochs >= k { cfg.epochs % k } else { 0 };
@@ -275,7 +395,7 @@ pub fn run_gibbs(
         None => std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
     };
     let widest = schedule.phases.iter().map(|p| p.units.len()).max().unwrap_or(1);
-    let vpb = cap.div_ceil(k).min(widest).max(1);
+    let (vpb, deal) = deal(schedule, table, held, cap.div_ceil(k).min(widest).max(1))?;
     let lanes = cap.min(k * vpb);
     let wake_lanes: Vec<bool> = phase_work
         .iter()
@@ -288,7 +408,7 @@ pub fn run_gibbs(
         boards.push(Board {
             counts,
             recorded,
-            telemetry: EpochTelemetry::new(graph.num_variables()),
+            telemetry: EpochTelemetry::new(owned.as_ref().map_or(graph.num_variables(), Vec::len)),
             epoch_flips: 0,
             epoch_samples: 0,
         });
@@ -300,6 +420,7 @@ pub fn run_gibbs(
         ctx,
         views,
         vpb,
+        deal,
         seeds,
         epochs: (0..k).map(|i| share + usize::from(i < remainder)).collect(),
         dead: (0..k).map(|_| AtomicBool::new(false)).collect(),
@@ -309,8 +430,13 @@ pub fn run_gibbs(
         failed: Mutex::new(Vec::new()),
     };
 
-    let evidence: Vec<(VarId, u32)> =
-        graph.variables().iter().filter_map(|v| v.evidence.map(|e| (v.id, e))).collect();
+    let evidence: Vec<(VarId, u32)> = graph
+        .variables()
+        .iter()
+        .filter(|v| owns(v.id as usize))
+        .filter_map(|v| v.evidence.map(|e| (v.id, e)))
+        .collect();
+    let halo_err = |detail| InferError::Cluster { detail };
     let total_epochs = pool.epochs.iter().copied().max().unwrap_or(0);
     let stride = pll_stride(total_epochs);
     let mut outcome = RunOutcome::Completed;
@@ -339,8 +465,9 @@ pub fn run_gibbs(
         let mut epoch = start_epoch.min(total_epochs);
         while epoch < total_epochs {
             // Epoch barrier: checked from the second epoch on, so an
-            // interrupted run still carries at least one full sweep.
-            if epoch > start_epoch {
+            // interrupted run still carries at least one full sweep. A
+            // halo hook decided at the end of the last epoch instead.
+            if epoch > start_epoch && halo.is_none() {
                 if let Some(stop) = ctx.interrupted() {
                     outcome = outcome.combine(stop);
                     break;
@@ -379,7 +506,7 @@ pub fn run_gibbs(
                     }
                 }
                 // Phase barrier: land every draw on every view of its
-                // board, and in the board's counts.
+                // board, and this process's own draws in its counts.
                 let prof = sya_obs::profile::start();
                 for (b, board) in boards.iter_mut().enumerate() {
                     if !pool.active(b, epoch) {
@@ -403,12 +530,21 @@ pub fn run_gibbs(
                     for guard in &mut guards {
                         logs.iter().for_each(|log| guard.apply(log));
                     }
+                    // A held owner has one view, so `logs[0]` is all of
+                    // this process's draws.
+                    if let Some(h) = halo.as_mut() {
+                        let foreign = h.exchange(epoch, phase, &logs[0]).map_err(halo_err)?;
+                        let prof = sya_obs::profile::start();
+                        guards[0].apply(&foreign);
+                        sya_obs::profile::stop(sya_obs::profile::Site::HaloApply, prof);
+                    }
                     for (guard, log) in guards.iter_mut().zip(logs) {
                         guard.recycle(log);
                     }
                 }
                 sya_obs::profile::stop(sya_obs::profile::Site::HaloPublish, prof);
             }
+            let mut stop = None;
             for (b, board) in boards.iter_mut().enumerate() {
                 if !pool.active(b, epoch) {
                     continue;
@@ -420,17 +556,31 @@ pub fn run_gibbs(
                     }
                 }
                 let view = pool.view(b * vpb);
-                board.telemetry.end_epoch(
-                    std::mem::take(&mut board.epoch_flips),
-                    std::mem::take(&mut board.epoch_samples),
-                    view.values().iter().map(|&x| telemetry_indicator(x)),
-                );
+                let (flips, samples) = (board.epoch_flips, board.epoch_samples);
+                (board.epoch_flips, board.epoch_samples) = (0, 0);
+                let values = view.values();
+                let delta = match &owned {
+                    None => board.telemetry.end_epoch(
+                        flips,
+                        samples,
+                        values.iter().map(|&x| telemetry_indicator(x)),
+                    ),
+                    Some(owned) => board.telemetry.end_epoch(
+                        flips,
+                        samples,
+                        owned.iter().map(|&v| telemetry_indicator(values[v as usize])),
+                    ),
+                };
                 // Pseudo-log-likelihood costs about one sweep per
                 // evaluation: sampled at a fixed cadence, and only when
                 // someone is watching.
                 if obs.is_enabled() && epoch.is_multiple_of(stride) {
-                    let pll = pseudo_log_likelihood(graph, &view.values().to_vec());
+                    let pll = pseudo_log_likelihood(graph, &values.to_vec());
                     board.telemetry.record_pll(epoch, pll);
+                }
+                if let Some(h) = halo.as_mut() {
+                    let (samples, flips) = board.telemetry.totals();
+                    stop = h.end_epoch(epoch, samples, flips, delta).map_err(halo_err)?;
                 }
             }
             if let Some(t0) = epoch_start {
@@ -444,9 +594,13 @@ pub fn run_gibbs(
                     save_checkpoint(ctx, sink, &state, &mut warnings, &mut outcome);
                 }
             }
+            if let Some(stop) = stop {
+                outcome = outcome.combine(stop);
+                break;
+            }
         }
-        epoch
-    });
+        Ok(epoch)
+    })?;
 
     // Final barrier — completion and interruption both land here: a
     // budget trip or cancellation must not cost the epochs already
@@ -467,7 +621,9 @@ pub fn run_gibbs(
             // single snapshot of the current chain state so callers
             // still receive finite, non-empty marginals.
             for (v, &x) in pool.view(b * vpb).values().iter().enumerate() {
-                board.counts.record(v as VarId, x);
+                if owns(v) {
+                    board.counts.record(v as VarId, x);
+                }
             }
             warnings.push(format!(
                 "instance {b} stopped before burn-in finished; its marginals fall back \
@@ -502,7 +658,8 @@ pub fn sequential_gibbs_with(
 ) -> SamplerRun {
     let cfg = InferConfig { epochs, burn_in, seed, instances: 1, ..Default::default() };
     let schedule = Schedule::sequential(graph);
-    run_gibbs(graph, &schedule, &cfg, None, ctx, CheckpointOptions::none(), None)
+    let ckpt = CheckpointOptions::none();
+    run_gibbs(graph, &schedule, &cfg, None, ctx, ckpt, None, Owners::RoundRobin)
         // Without a resume state only a sweep that panics twice can
         // fail the run — a bug that should surface loudly here.
         .unwrap_or_else(|e| panic!("sequential gibbs failed: {e}"))
@@ -516,7 +673,8 @@ pub fn spatial_gibbs_with(
     ctx: &ExecContext,
 ) -> Result<SamplerRun, InferError> {
     let schedule = Schedule::spatial(graph, pyramid, cfg);
-    run_gibbs(graph, &schedule, cfg, None, ctx, CheckpointOptions::none(), None)
+    let ckpt = CheckpointOptions::none();
+    run_gibbs(graph, &schedule, cfg, None, ctx, ckpt, None, Owners::RoundRobin)
 }
 
 /// Runs a restricted schedule from `init` and reports which variables
@@ -529,7 +687,8 @@ fn resample(
     init: Option<&[u32]>,
 ) -> (MarginalCounts, HashSet<VarId>) {
     let ctx = ExecContext::unbounded();
-    let run = run_gibbs(graph, schedule, cfg, init, &ctx, CheckpointOptions::none(), None)
+    let ckpt = CheckpointOptions::none();
+    let run = run_gibbs(graph, schedule, cfg, init, &ctx, ckpt, None, Owners::RoundRobin)
         .unwrap_or_else(|e| panic!("restricted gibbs failed under an unbounded context: {e}"));
     (run.counts, schedule.units().flatten().copied().collect())
 }
@@ -822,7 +981,8 @@ mod tests {
             let schedule = schedule_of(&g);
             let cfg = InferConfig { burn_in: 20, workers: Some(2), ..cfg(100, 1, 2) };
             let run = |ctx: &ExecContext| {
-                run_gibbs(&g, &schedule, &cfg, None, ctx, CheckpointOptions::none(), None).unwrap()
+                let ckpt = CheckpointOptions::none();
+                run_gibbs(&g, &schedule, &cfg, None, ctx, ckpt, None, Owners::RoundRobin).unwrap()
             };
             let clean = run(&unbounded());
             let plan = FaultPlan {
@@ -839,6 +999,106 @@ mod tests {
             );
             assert_eq!(faulty.counts, clean.counts, "the re-sample redraws the same values");
         }
+    }
+
+    /// A halo over in-memory channels: send this process's draws,
+    /// receive the other's.
+    struct ChannelHalo {
+        tx: std::sync::mpsc::Sender<Vec<(VarId, u32)>>,
+        rx: std::sync::mpsc::Receiver<Vec<(VarId, u32)>>,
+    }
+
+    impl Halo for ChannelHalo {
+        fn exchange(
+            &mut self,
+            _: usize,
+            _: usize,
+            own: &[(VarId, u32)],
+        ) -> Result<Vec<(VarId, u32)>, String> {
+            self.tx.send(own.to_vec()).map_err(|e| e.to_string())?;
+            self.rx.recv().map_err(|e| e.to_string())
+        }
+
+        fn end_epoch(
+            &mut self,
+            _: usize,
+            _: u64,
+            _: u64,
+            _: f64,
+        ) -> Result<Option<RunOutcome>, String> {
+            Ok(None)
+        }
+    }
+
+    /// Keeps every checkpoint state in memory.
+    #[derive(Default)]
+    struct Keep(Mutex<Vec<CheckpointState>>);
+
+    impl CheckpointSink for Keep {
+        fn save(&self, state: &CheckpointState) -> Result<(), String> {
+            self.0.lock().unwrap().push(state.clone());
+            Ok(())
+        }
+    }
+
+    /// Two processes, each holding half the owners and joined by a
+    /// channel halo, sum to the one-process run bit for bit — straight
+    /// through and resumed from their mid-run checkpoints.
+    #[test]
+    fn held_owners_joined_by_a_halo_sum_to_the_single_process_run() {
+        let g = grid_graph(6, 0.6);
+        let pyramid = PyramidIndex::build(&g, 3, 64);
+        let cfg = InferConfig { burn_in: 10, ..cfg(60, 1, 3) };
+        let schedule = Schedule::spatial(&g, &pyramid, &cfg);
+        let reference = spatial_gibbs_with(&g, &pyramid, &cfg, &unbounded()).unwrap().counts;
+        // Whole units dealt alternately; evidence stays with owner 0.
+        let mut owner = vec![0u32; g.num_variables()];
+        for (u, unit) in schedule.units().enumerate() {
+            unit.iter().for_each(|&v| owner[v as usize] = (u % 2) as u32);
+        }
+        type Process = (MarginalCounts, Vec<CheckpointState>);
+        let pair = |resume: [Option<ChainState>; 2]| -> Vec<Process> {
+            let (tx0, rx1) = std::sync::mpsc::channel();
+            let (tx1, rx0) = std::sync::mpsc::channel();
+            let halos = [ChannelHalo { tx: tx0, rx: rx0 }, ChannelHalo { tx: tx1, rx: rx1 }];
+            let (g, schedule, cfg, owner) = (&g, &schedule, &cfg, &owner);
+            std::thread::scope(|s| {
+                let procs: Vec<_> = halos
+                    .into_iter()
+                    .zip(resume)
+                    .enumerate()
+                    .map(|(me, (mut halo, resume))| {
+                        s.spawn(move || {
+                            let keep = Keep::default();
+                            let ckpt = CheckpointOptions::to_sink(&keep, 20);
+                            let owners = Owners::Held { owner, held: me as u32, halo: &mut halo };
+                            let resume = resume.map(|c| vec![c]);
+                            let ctx = unbounded();
+                            let run = run_gibbs(g, schedule, cfg, None, &ctx, ckpt, resume, owners);
+                            (run.unwrap().counts, keep.0.into_inner().unwrap())
+                        })
+                    })
+                    .collect();
+                procs.into_iter().map(|p| p.join().unwrap()).collect()
+            })
+        };
+        let merged = |runs: &[Process]| {
+            let mut total = runs[0].0.clone();
+            total.merge(&runs[1].0);
+            total
+        };
+        let straight = pair([None, None]);
+        assert_eq!(merged(&straight), reference);
+        for (me, (counts, _)) in straight.iter().enumerate() {
+            for v in (0..g.num_variables()).filter(|&v| owner[v] != me as u32) {
+                assert_eq!(counts.total_samples(v as VarId), 0, "process {me} recorded v{v}");
+            }
+        }
+        let at_20 = |me: usize| match straight[me].1.iter().find(|s| s.epoch() == 20) {
+            Some(CheckpointState::Run { chains, .. }) => Some(chains[0].clone()),
+            other => panic!("no epoch-20 chain for process {me}: {other:?}"),
+        };
+        assert_eq!(merged(&pair([at_20(0), at_20(1)])), reference);
     }
 
     #[test]
@@ -867,7 +1127,8 @@ mod tests {
             recorded: false,
         };
         let run = |cfg: &InferConfig, chains| {
-            run_gibbs(&g, &schedule, cfg, None, &unbounded(), CheckpointOptions::none(), chains)
+            let ckpt = CheckpointOptions::none();
+            run_gibbs(&g, &schedule, cfg, None, &unbounded(), ckpt, chains, Owners::RoundRobin)
         };
         let err = run(&cfg(10, 1, 1), Some(vec![chain(2), chain(2)])).unwrap_err();
         assert!(matches!(err, InferError::BadResume { .. }), "{err}");

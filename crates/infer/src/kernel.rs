@@ -1,4 +1,4 @@
-//! The one Gibbs kernel and its phase-step API.
+//! The one Gibbs kernel.
 //!
 //! A `View` is a private, consistent copy of the assignment board.
 //! `View::sweep` runs plain sequential Gibbs over one unit of a
@@ -20,20 +20,14 @@
 //!   guarantee that for spatial factors of adjacent cells) and a
 //!   synchronous approximation otherwise.
 //!
-//! The driver ([`crate::driver`]) steps `K` boards through views on its
-//! own lanes. Executors that own their epoch loop — the in-process
-//! sharded run and the cluster worker of `sya-shard` — step a [`Chain`]:
-//! one view plus the units its shard owns, the shard's counts and its
-//! convergence trajectory.
+//! The driver ([`crate::driver`]) is the only caller: it holds each
+//! board as one view per owner and sweeps the views on its lanes, for a
+//! plain run, an in-process sharded run and a cluster worker alike.
 
-use crate::ckpt::ChainState;
-use crate::marginals::MarginalCounts;
-use crate::run::InferError;
 use crate::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sya_fg::{binary_conditional_true, conditional_with, FactorGraph, VarId};
-use sya_obs::{ConvergenceSeries, EpochTelemetry};
 
 /// Tag mixed into the per-variable stream that draws initial values, so
 /// the init draw never collides with an epoch stream.
@@ -59,7 +53,7 @@ pub(crate) fn tick(schedule: &Schedule, epoch: usize, phase: usize) -> u64 {
 /// The starting board: evidence clamped; free variables at `init` when
 /// given (clamped into the domain in case it shrank since), else at a
 /// per-variable derived draw.
-pub fn init_board(graph: &FactorGraph, seed: u64, init: Option<&[u32]>) -> Vec<u32> {
+pub(crate) fn init_board(graph: &FactorGraph, seed: u64, init: Option<&[u32]>) -> Vec<u32> {
     graph
         .variables()
         .iter()
@@ -132,11 +126,6 @@ impl View {
         &self.values
     }
 
-    /// Draws logged since the last [`apply`](Self::apply) of them.
-    pub(crate) fn writes(&self) -> &[(VarId, u32)] {
-        &self.writes
-    }
-
     /// Sweeps `unit` sequentially against this view: each draw
     /// conditions on the unit's earlier draws and on the frozen rest.
     /// The draws are appended to the write log and rolled back out of
@@ -187,279 +176,42 @@ impl View {
     }
 }
 
-/// One shard's sampler state, stepped phase by phase by an executor
-/// that owns the epoch loop: its view of the board, the units it owns,
-/// its counts, and its convergence trajectory over owned variables.
-///
-/// Per phase: [`sample_phase`](Self::sample_phase), ship
-/// [`pending_writes`](Self::pending_writes) to the other shards,
-/// [`apply_halo`](Self::apply_halo) theirs, then
-/// [`publish`](Self::publish). Per epoch: [`end_epoch`](Self::end_epoch).
-pub struct Chain<'g> {
-    graph: &'g FactorGraph,
-    schedule: &'g Schedule,
-    seed: u64,
-    view: View,
-    /// All variables this shard owns (evidence included), sorted.
-    owned: Vec<VarId>,
-    /// Per phase: indices of the units this shard owns.
-    phase_units: Vec<Vec<usize>>,
-    /// Owned evidence variables with their clamped values.
-    evidence_owned: Vec<(VarId, u32)>,
-    counts: MarginalCounts,
-    recorded: bool,
-    /// Indices (into `owned`) of boundary-exposed variables — owned
-    /// variables some other shard reads as halo.
-    boundary: Vec<usize>,
-    /// Running-marginal snapshot of the boundary variables; the drift
-    /// since then is the retirement staleness signal.
-    boundary_ref: Vec<f64>,
-    telemetry: EpochTelemetry,
-    epoch_flips: u64,
-    epoch_samples: u64,
-}
-
-impl<'g> Chain<'g> {
-    /// `owned` is the shard's full ownership class (evidence included);
-    /// `board` the starting assignment ([`init_board`] or a checkpoint).
-    /// A unit is the atom of sequential sweeping, so it must have one
-    /// owner: a schedule whose units the ownership splits — a sweep
-    /// level coarser than the partition level — is rejected rather than
-    /// silently sampled differently per shard count.
-    pub fn new(
-        graph: &'g FactorGraph,
-        schedule: &'g Schedule,
-        seed: u64,
-        mut owned: Vec<VarId>,
-        board: Vec<u32>,
-    ) -> Result<Self, InferError> {
-        owned.sort_unstable();
-        owned.dedup();
-        let mut is_owned = vec![false; graph.num_variables()];
-        for &v in &owned {
-            is_owned[v as usize] = true;
-        }
-        let mut phase_units = Vec::with_capacity(schedule.len());
-        for (p, phase) in schedule.phases.iter().enumerate() {
-            let mut mine = Vec::new();
-            for (u, unit) in phase.units.iter().enumerate() {
-                let n_owned = unit.iter().filter(|&&v| is_owned[v as usize]).count();
-                if n_owned == unit.len() {
-                    mine.push(u);
-                } else if n_owned > 0 {
-                    return Err(InferError::SplitUnit {
-                        detail: format!(
-                            "unit {u} of phase {p} holds {} variables but this shard owns only \
-                             {n_owned} of them; sweep cells must nest inside partition cells \
-                             (partition level <= locality level, and all-levels sweeps start at \
-                             level 2)",
-                            unit.len()
-                        ),
-                    });
-                }
-            }
-            phase_units.push(mine);
-        }
-        let evidence_owned =
-            owned.iter().filter_map(|&v| graph.variable(v).evidence.map(|e| (v, e))).collect();
-        Ok(Chain {
-            graph,
-            schedule,
-            seed,
-            view: View::new(board),
-            telemetry: EpochTelemetry::new(owned.len()),
-            owned,
-            phase_units,
-            evidence_owned,
-            counts: MarginalCounts::new(graph),
-            recorded: false,
-            boundary: Vec::new(),
-            boundary_ref: Vec::new(),
-            epoch_flips: 0,
-            epoch_samples: 0,
-        })
-    }
-
-    /// The full board as this shard sees it (owned + halo replicas).
-    pub fn board(&self) -> &[u32] {
-        self.view.values()
-    }
-
-    /// Declares which variables are boundary-exposed (owned here, read
-    /// as halo by some other shard). Enables the boundary-staleness
-    /// signal retirement gating uses; foreign variables are ignored.
-    pub fn set_boundary(&mut self, vars: &[VarId]) {
-        self.boundary = vars.iter().filter_map(|v| self.owned.binary_search(v).ok()).collect();
-        self.boundary.sort_unstable();
-        self.boundary.dedup();
-        self.boundary_ref = Vec::new();
-    }
-
-    /// Snapshots the boundary variables' running marginals. Call at the
-    /// start of a retirement quiet streak.
-    pub fn snapshot_boundary(&mut self) {
-        self.boundary_ref = self.boundary.iter().map(|&i| self.telemetry.running_mean(i)).collect();
-    }
-
-    /// `max |p_now − p_snapshot|` over boundary-exposed variables — how
-    /// much the values the *neighbour* shards condition on have drifted
-    /// since the snapshot. `0.0` with no boundary or no snapshot.
-    pub fn boundary_delta(&self) -> f64 {
-        self.boundary
-            .iter()
-            .zip(&self.boundary_ref)
-            .map(|(&i, &p0)| (self.telemetry.running_mean(i) - p0).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Sweeps the shard's units of one phase, logging the draws.
-    pub fn sample_phase(&mut self, phase: usize, epoch: usize) {
-        let prof = sya_obs::profile::start();
-        let tick = tick(self.schedule, epoch, phase);
-        for &u in &self.phase_units[phase] {
-            self.view.sweep(self.graph, self.seed, tick, &self.schedule.phases[phase].units[u]);
-        }
-        let drawn = self.view.writes().len() as u64;
-        self.epoch_samples += drawn;
-        if let Some(c) = self.schedule.phases[phase].conclique {
-            self.telemetry.add_conclique_samples(c as usize, drawn);
-        }
-        sya_obs::profile::stop(sya_obs::profile::Site::ConcliqueSweep, prof);
-    }
-
-    /// The draws of the phase in flight, in sweep order — what the
-    /// other shards must [`apply_halo`](Self::apply_halo).
-    pub fn pending_writes(&self) -> &[(VarId, u32)] {
-        self.view.writes()
-    }
-
-    /// Lands another shard's published draws on this shard's board.
-    pub fn apply_halo(&mut self, writes: &[(VarId, u32)]) {
-        let prof = sya_obs::profile::start();
-        self.view.apply(writes);
-        sya_obs::profile::stop(sya_obs::profile::Site::HaloApply, prof);
-    }
-
-    /// Lands this shard's own draws on its board and, when `record`,
-    /// in its counts.
-    pub fn publish(&mut self, record: bool) {
-        let prof = sya_obs::profile::start();
-        let writes = self.view.take_writes();
-        for &(v, x) in &writes {
-            self.epoch_flips += u64::from(self.view.values()[v as usize] != x);
-            if record {
-                self.counts.record(v, x);
-            }
-        }
-        self.view.apply(&writes);
-        self.view.recycle(writes);
-        sya_obs::profile::stop(sya_obs::profile::Site::HaloPublish, prof);
-    }
-
-    /// Total samples drawn and value flips so far (closed epochs plus
-    /// the one in flight) — what the cluster worker ships per epoch in
-    /// its `Telemetry` frame.
-    pub fn progress(&self) -> (u64, u64) {
-        let (samples, flips) = self.telemetry.totals();
-        (samples + self.epoch_samples, flips + self.epoch_flips)
-    }
-
-    /// Closes an epoch: records owned evidence rows, folds the board
-    /// into the shard's running marginals, and returns the epoch's
-    /// `max |p_t − p_{t−1}|` over owned variables (the retirement
-    /// signal).
-    pub fn end_epoch(&mut self, record: bool) -> f64 {
-        if record {
-            self.recorded = true;
-            for &(v, e) in &self.evidence_owned {
-                self.counts.record(v, e);
-            }
-        }
-        let values = self.view.values();
-        let indicators = self.owned.iter().map(|&v| telemetry_indicator(values[v as usize]));
-        let delta = self.telemetry.end_epoch(self.epoch_flips, self.epoch_samples, indicators);
-        self.epoch_flips = 0;
-        self.epoch_samples = 0;
-        delta
-    }
-
-    /// Records a pseudo-log-likelihood observation (the executor samples
-    /// it on one shard over the full board).
-    pub fn record_pll(&mut self, epoch: usize, value: f64) {
-        self.telemetry.record_pll(epoch, value);
-    }
-
-    /// Packages the shard's durable state at the barrier entering
-    /// `next_epoch`: the full board plus this shard's counts.
-    pub fn chain_state(&self, next_epoch: usize) -> ChainState {
-        ChainState {
-            epoch: next_epoch as u64,
-            assignment: self.view.values().to_vec(),
-            counts: self.counts.to_rows(),
-            recorded: self.recorded,
-        }
-    }
-
-    /// Restores counts and the recorded flag from a resumed chain (the
-    /// board went into [`new`](Self::new)).
-    pub fn resume_counts(&mut self, counts: MarginalCounts, recorded: bool) {
-        self.counts = counts;
-        self.recorded = recorded;
-    }
-
-    /// Fallback for runs stopped before burn-in: when no epoch recorded
-    /// samples, records one snapshot of the board restricted to owned
-    /// variables and returns `true`.
-    pub fn snapshot_if_unrecorded(&mut self) -> bool {
-        if !self.recorded {
-            for &v in &self.owned {
-                self.counts.record(v, self.view.values()[v as usize]);
-            }
-        }
-        !self.recorded
-    }
-
-    /// Consumes the chain into its counts and convergence series.
-    pub fn finish(self) -> (MarginalCounts, ConvergenceSeries) {
-        (self.counts, self.telemetry.finish())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::CheckpointOptions;
+    use crate::driver::{run_gibbs, Owners};
+    use crate::marginals::MarginalCounts;
     use crate::pyramid::PyramidIndex;
+    use crate::run::InferError;
     use crate::schedule::InferConfig;
     use crate::testutil::grid_graph;
+    use sya_runtime::ExecContext;
 
     fn cfg() -> InferConfig {
-        InferConfig { levels: 2, locality_level: 2, seed: 11, ..Default::default() }
+        InferConfig {
+            epochs: 40,
+            burn_in: 5,
+            instances: 1,
+            levels: 2,
+            locality_level: 2,
+            seed: 11,
+            ..Default::default()
+        }
     }
 
-    /// Steps `chains` (one per ownership class) in lockstep, exchanging
-    /// halos the way the shard executors do.
-    fn run_chains(chains: &mut [Chain], schedule: &Schedule, epochs: usize, burn: usize) {
-        for epoch in 0..epochs {
-            let record = epoch >= burn;
-            for phase in 0..schedule.len() {
-                for chain in chains.iter_mut() {
-                    chain.sample_phase(phase, epoch);
-                }
-                let logs: Vec<Vec<(VarId, u32)>> =
-                    chains.iter().map(|c| c.pending_writes().to_vec()).collect();
-                for (i, chain) in chains.iter_mut().enumerate() {
-                    for (j, log) in logs.iter().enumerate() {
-                        if i != j {
-                            chain.apply_halo(log);
-                        }
-                    }
-                    chain.publish(record);
-                }
-            }
-            for chain in chains.iter_mut() {
-                chain.end_epoch(record);
-            }
-        }
+    /// Runs `schedule` with the units dealt by the per-variable `owner`
+    /// table (`None`: round-robin).
+    fn run(
+        g: &FactorGraph,
+        schedule: &Schedule,
+        cfg: &InferConfig,
+        owner: Option<&[u32]>,
+    ) -> Result<MarginalCounts, InferError> {
+        let owners = owner.map_or(Owners::RoundRobin, Owners::Plan);
+        let ctx = ExecContext::unbounded();
+        run_gibbs(g, schedule, cfg, None, &ctx, CheckpointOptions::none(), None, owners)
+            .map(|run| run.counts)
     }
 
     #[test]
@@ -469,14 +221,14 @@ mod tests {
         let mut view = View::new(board.clone());
         view.sweep(&g, 3, 0, &[1, 2, 3]);
         assert_eq!(view.values(), &board[..], "draws are rolled back out of the view");
-        assert_eq!(view.writes().len(), 3);
+        assert_eq!(view.writes.len(), 3);
         // Variable 3's draw conditioned on the draws of 1 and 2, not on
         // their frozen values: replaying it against a board that already
         // holds those draws reproduces it.
         let mut replay = View::new(board.clone());
-        replay.apply(&view.writes()[..2]);
+        replay.apply(&view.writes[..2]);
         replay.sweep(&g, 3, 0, &[3]);
-        assert_eq!(replay.writes()[0], view.writes()[2]);
+        assert_eq!(replay.writes[0], view.writes[2]);
         let writes = view.take_writes();
         view.apply(&writes);
         assert!(writes.iter().all(|&(v, x)| view.values()[v as usize] == x));
@@ -492,7 +244,7 @@ mod tests {
         view.writes.push((1, 1 - board[1]));
         view.reset();
         assert_eq!(view.values(), &board[..]);
-        assert!(view.writes().is_empty());
+        assert!(view.writes.is_empty());
     }
 
     #[test]
@@ -505,34 +257,21 @@ mod tests {
         assert_eq!(warm[3], 0, "a short warm start pads with 0");
     }
 
-    /// The parity property the sharded executors build on: splitting
-    /// the ownership across chains changes nothing about the samples.
+    /// The parity property sharding builds on: dealing the units to
+    /// owners by any table changes nothing about the samples.
     #[test]
     fn ownership_splits_reproduce_the_single_chain_exactly() {
         let g = grid_graph(4, 0.8);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
         let schedule = Schedule::spatial(&g, &pyramid, &cfg);
-        let run = |ownerships: Vec<Vec<VarId>>| -> MarginalCounts {
-            let mut chains: Vec<Chain> = ownerships
-                .into_iter()
-                .map(|o| {
-                    Chain::new(&g, &schedule, cfg.seed, o, init_board(&g, cfg.seed, None)).unwrap()
-                })
-                .collect();
-            run_chains(&mut chains, &schedule, 40, 5);
-            let mut total = MarginalCounts::new(&g);
-            for chain in chains {
-                total.merge(&chain.finish().0);
-            }
-            total
-        };
-        let all: Vec<VarId> = (0..g.num_variables() as VarId).collect();
-        let single = run(vec![all.clone()]);
+        let single = run(&g, &schedule, &cfg, None).unwrap();
         // Level-2 cells of the 4×4 grid are single variables, so any
         // split keeps units whole.
-        let (left, right) = all.split_at(7);
-        assert_eq!(single, run(vec![left.to_vec(), right.to_vec()]));
+        let halves: Vec<u32> = (0..g.num_variables()).map(|v| u32::from(v >= 7)).collect();
+        assert_eq!(single, run(&g, &schedule, &cfg, Some(&halves)).unwrap());
+        let scattered: Vec<u32> = (0..g.num_variables() as u32).map(|v| v % 3).collect();
+        assert_eq!(single, run(&g, &schedule, &cfg, Some(&scattered)).unwrap());
     }
 
     #[test]
@@ -540,56 +279,10 @@ mod tests {
         let g = grid_graph(4, 0.8);
         // Level 1: four cells of four variables each.
         let pyramid = PyramidIndex::build(&g, 1, 64);
-        let cfg = InferConfig { levels: 1, locality_level: 1, seed: 11, ..Default::default() };
+        let cfg = InferConfig { levels: 1, locality_level: 1, ..cfg() };
         let schedule = Schedule::spatial(&g, &pyramid, &cfg);
-        let board = init_board(&g, cfg.seed, None);
-        let err = Chain::new(&g, &schedule, cfg.seed, vec![0, 1, 2], board).err().unwrap();
+        let owner: Vec<u32> = (0..g.num_variables()).map(|v| u32::from(v >= 3)).collect();
+        let err = run(&g, &schedule, &cfg, Some(&owner)).unwrap_err();
         assert!(matches!(err, InferError::SplitUnit { .. }), "{err}");
-    }
-
-    #[test]
-    fn boundary_tracking_measures_drift_since_the_snapshot() {
-        // A weakly coupled grid: at 0.8 the chain saturates at all-ones
-        // under the corner evidence and every running marginal freezes.
-        let g = grid_graph(3, 0.05);
-        let pyramid = PyramidIndex::build(&g, 2, 64);
-        let cfg = cfg();
-        let schedule = Schedule::spatial(&g, &pyramid, &cfg);
-        let all: Vec<VarId> = (0..g.num_variables() as VarId).collect();
-        let mut chains =
-            [Chain::new(&g, &schedule, cfg.seed, all, init_board(&g, cfg.seed, None)).unwrap()];
-        // Variables 1 and 4 are boundary-exposed; 99 is foreign and ignored.
-        chains[0].set_boundary(&[1, 4, 99]);
-        assert_eq!(chains[0].boundary_delta(), 0.0, "no snapshot yet");
-        run_chains(&mut chains, &schedule, 1, 0);
-        chains[0].snapshot_boundary();
-        assert_eq!(chains[0].boundary_delta(), 0.0, "snapshot epoch has zero drift");
-        // `run_chains` restarts at epoch 0; the telemetry keeps counting.
-        run_chains(&mut chains, &schedule, 4, 0);
-        let drift = chains[0].boundary_delta();
-        assert!(drift > 0.0 && drift <= 1.0, "drift {drift}");
-    }
-
-    #[test]
-    fn retirement_signal_shrinks_over_epochs() {
-        let g = grid_graph(3, 0.8);
-        let pyramid = PyramidIndex::build(&g, 2, 64);
-        let cfg = cfg();
-        let schedule = Schedule::spatial(&g, &pyramid, &cfg);
-        let all: Vec<VarId> = (0..g.num_variables() as VarId).collect();
-        let mut chain =
-            Chain::new(&g, &schedule, cfg.seed, all, init_board(&g, cfg.seed, None)).unwrap();
-        let mut deltas = Vec::new();
-        for epoch in 0..100 {
-            for phase in 0..schedule.len() {
-                chain.sample_phase(phase, epoch);
-                chain.publish(true);
-            }
-            deltas.push(chain.end_epoch(true));
-        }
-        assert!(deltas[99] < deltas[0], "running-marginal delta must shrink: {deltas:?}");
-        let (_, series) = chain.finish();
-        assert_eq!(series.epochs, 100);
-        assert_eq!(series.marginal_delta, deltas);
     }
 }

@@ -21,12 +21,13 @@
 //! * [`kernel`] — sweeps a unit sequentially (plain Gibbs, seeing its own
 //!   writes at once) against every other unit frozen at the phase start;
 //!   writes are published at the phase barrier and every draw comes from
-//!   a stream derived from `(seed, epoch, phase, variable)`. Also the
-//!   phase-step API ([`Chain`]) for executors that own their epoch loop
-//!   (the shard executors of `sya-shard`);
+//!   a stream derived from `(seed, epoch, phase, variable)`;
 //! * [`driver`] — [`run_gibbs`]: `K` boards stepped through the schedule
-//!   by one loop, with deadlines/cancellation at epoch barriers, panic
-//!   isolation, checkpoint/resume and telemetry;
+//!   by the one epoch loop, with deadlines/cancellation at epoch
+//!   barriers, panic isolation, checkpoint/resume and telemetry. An
+//!   [`Owners`] table deals the units to owners — round-robin, or a
+//!   shard plan's cells — and a [`Halo`] hook carries the other owners'
+//!   draws when a process (a `sya-shard` cluster worker) holds only one;
 //! * [`marginals`] — sample counters, marginal extraction, the exact
 //!   enumeration oracle, and the KL divergence metric of Fig. 14.
 //!
@@ -52,9 +53,9 @@ pub use ckpt::{ChainState, CheckpointOptions, CheckpointSink, CheckpointState};
 pub use conclique::{conclique_of, min_conclique_cover, Conclique};
 pub use driver::{
     incremental_sequential_gibbs, incremental_spatial_gibbs, run_gibbs, sequential_gibbs_with,
-    spatial_gibbs_with,
+    spatial_gibbs_with, Halo, Owners,
 };
-pub use kernel::{init_board, var_epoch_rng, Chain};
+pub use kernel::var_epoch_rng;
 pub use learn::{learn_weights, map_assignment, pseudo_log_likelihood, LearnConfig};
 pub use marginals::{average_kl_divergence, exact_marginals, MarginalCounts};
 pub use pyramid::{CellKey, PyramidIndex};

@@ -55,7 +55,8 @@ pub enum InferError {
     /// A multi-process cluster run could not be set up or supervised
     /// past the point of graceful degradation (e.g. the coordinator
     /// socket cannot bind, or every shard exhausted its restart
-    /// budget before producing a single usable result).
+    /// budget before producing a single usable result), or a worker's
+    /// halo hook ended its run.
     Cluster {
         detail: String,
     },

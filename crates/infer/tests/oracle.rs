@@ -17,8 +17,8 @@ use std::collections::HashSet;
 use sya_fg::{Factor, FactorGraph, FactorKind, SpatialFactor, VarId, Variable};
 use sya_geom::Point;
 use sya_infer::{
-    exact_marginals, incremental_spatial_gibbs, init_board, run_gibbs, spatial_gibbs_with, Chain,
-    CheckpointOptions, InferConfig, MarginalCounts, PyramidIndex, Schedule,
+    exact_marginals, incremental_spatial_gibbs, run_gibbs, spatial_gibbs_with, CheckpointOptions,
+    InferConfig, MarginalCounts, Owners, PyramidIndex, Schedule,
 };
 use sya_obs::Obs;
 use sya_runtime::ExecContext;
@@ -192,46 +192,23 @@ fn assert_converges(
     println!("{what}: worst deviation {worst:.2} standard errors over {} variables", vars.len());
 }
 
-/// Steps one [`Chain`] per ownership class in lockstep with halo
-/// exchange — the sharded executors' loop — and merges the counts.
+/// Runs `schedule` with its units dealt to `owners` owners by an owner
+/// table — the in-process sharded run.
 fn sharded_counts(
     graph: &FactorGraph,
     schedule: &Schedule,
     seed: u64,
     owners: usize,
 ) -> MarginalCounts {
-    // Deal whole units to owners; evidence goes to owner 0.
-    let mut classes: Vec<Vec<VarId>> = vec![Vec::new(); owners];
+    // Deal whole units to owners; evidence stays with owner 0.
+    let mut owner = vec![0u32; graph.num_variables()];
     for (u, unit) in schedule.units().enumerate() {
-        classes[u % owners].extend_from_slice(unit);
+        unit.iter().for_each(|&v| owner[v as usize] = (u % owners) as u32);
     }
-    classes[0].extend(graph.variables().iter().filter(|v| v.is_evidence()).map(|v| v.id));
-    let mut chains: Vec<Chain> = classes
-        .into_iter()
-        .map(|c| Chain::new(graph, schedule, seed, c, init_board(graph, seed, None)).unwrap())
-        .collect();
-    for epoch in 0..EPOCHS {
-        let record = epoch >= BURN_IN;
-        for phase in 0..schedule.len() {
-            chains.iter_mut().for_each(|c| c.sample_phase(phase, epoch));
-            let logs: Vec<Vec<(VarId, u32)>> =
-                chains.iter().map(|c| c.pending_writes().to_vec()).collect();
-            for (i, chain) in chains.iter_mut().enumerate() {
-                for log in logs.iter().enumerate().filter(|(j, _)| *j != i).map(|(_, l)| l) {
-                    chain.apply_halo(log);
-                }
-                chain.publish(record);
-            }
-        }
-        chains.iter_mut().for_each(|c| {
-            c.end_epoch(record);
-        });
-    }
-    let mut total = MarginalCounts::new(graph);
-    for chain in chains {
-        total.merge(&chain.finish().0);
-    }
-    total
+    let (ctx, ckpt) = (ExecContext::unbounded(), CheckpointOptions::none());
+    run_gibbs(graph, schedule, &cfg(seed), None, &ctx, ckpt, None, Owners::Plan(&owner))
+        .unwrap()
+        .counts
 }
 
 fn check_all_schedules(name: &str, graph: &FactorGraph) {
@@ -247,7 +224,8 @@ fn check_all_schedules(name: &str, graph: &FactorGraph) {
 
     let sequential = Schedule::sequential(graph);
     assert_converges(&format!("{name}/sequential"), graph, &exact, &free, |seed| {
-        run_gibbs(graph, &sequential, &cfg(seed), None, &ctx, CheckpointOptions::none(), None)
+        let ckpt = CheckpointOptions::none();
+        run_gibbs(graph, &sequential, &cfg(seed), None, &ctx, ckpt, None, Owners::RoundRobin)
             .unwrap()
             .counts
     });
@@ -366,7 +344,8 @@ fn a_factor_across_same_conclique_cells_biases_the_marginals_measurably() {
     // Sequential Gibbs on the same graph is exact.
     let sequential = Schedule::sequential(&graph);
     assert_converges("same-conclique/sequential", &graph, &exact, &[a, b], |seed| {
-        run_gibbs(&graph, &sequential, &cfg(seed), None, &ctx, CheckpointOptions::none(), None)
+        let ckpt = CheckpointOptions::none();
+        run_gibbs(&graph, &sequential, &cfg(seed), None, &ctx, ckpt, None, Owners::RoundRobin)
             .unwrap()
             .counts
     });

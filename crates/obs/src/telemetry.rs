@@ -175,11 +175,6 @@ impl EpochTelemetry {
         delta
     }
 
-    /// Running mean of indicator `v` over the epochs closed so far.
-    pub fn running_mean(&self, v: usize) -> f64 {
-        self.prev_p[v]
-    }
-
     /// `(samples, flips)` over the epochs closed so far.
     pub fn totals(&self) -> (u64, u64) {
         (self.series.samples_total, self.series.flips_total)

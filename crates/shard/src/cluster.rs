@@ -10,11 +10,13 @@
 //! locally, and blocks on the merged `Halo` broadcast, from which it
 //! applies only *foreign* writes. The coordinator is the phase
 //! sequencer: it collects one `Publish` per live worker, concatenates
-//! the write sets, and broadcasts the `Halo`. Because ownership is
-//! total and draws use per-`(seed, epoch, variable)` RNG streams, the
-//! merged marginals are bit-identical to the in-process executor
-//! ([`run_sharded`](crate::exec::run_sharded)) and to a single-shard
-//! run.
+//! the write sets, and broadcasts the `Halo`. A worker is the one driver
+//! ([`sya_infer::run_gibbs`]) holding its shard's owner alone, with the
+//! socket as its [`Halo`] hook. Because ownership is total and draws use
+//! per-`(seed, epoch, phase, variable)` RNG streams, the merged marginals
+//! are bit-identical to the in-process run
+//! ([`run_in_process`](crate::exec::run_in_process)) and to
+//! `spatial_gibbs_with` at one instance.
 //!
 //! ## Supervision
 //!
@@ -32,8 +34,7 @@
 //! [`RunOutcome::Degraded`] and per-shard health in the report.
 
 use crate::exec::{
-    store_name, RetirePolicy, ShardCkptOptions, ShardHealth, ShardManifest, ShardRunReport,
-    ShardStats,
+    store_name, ShardCkptOptions, ShardHealth, ShardManifest, ShardRunReport, ShardStats,
 };
 use crate::plan::ShardPlan;
 use crate::wire::{read_frame, write_frame, Frame, WireError, FRAME_HEADER_LEN, WIRE_MAGIC};
@@ -46,8 +47,8 @@ use std::time::{Duration, Instant};
 use sya_ckpt::CheckpointStore;
 use sya_fg::FactorGraph;
 use sya_infer::{
-    init_board, Chain, CheckpointState, InferConfig, InferError, MarginalCounts, PyramidIndex,
-    Schedule,
+    run_gibbs, CheckpointOptions, CheckpointSink, CheckpointState, Halo, InferConfig, InferError,
+    MarginalCounts, Owners, PyramidIndex, Schedule,
 };
 use sya_obs::{cluster as met, ConvergenceSeries, FleetView, MetricsSnapshot, NUM_CONCLIQUES};
 use sya_runtime::{Backoff, ExecContext, RunOutcome};
@@ -91,7 +92,6 @@ pub struct WorkerOptions {
     /// Checkpoint wiring; `dir` is the cluster root (the worker stores
     /// under `<dir>/shard-NN/`).
     pub ckpt: ShardCkptOptions,
-    pub retire: Option<RetirePolicy>,
     /// Advertise existing checkpoints in the first `Hello` (after a
     /// rollback the worker always advertises).
     pub resume: bool,
@@ -107,7 +107,6 @@ impl Default for WorkerOptions {
             shard: 0,
             connect: String::new(),
             ckpt: ShardCkptOptions::default(),
-            retire: None,
             resume: false,
             read_timeout: Duration::from_secs(30),
         }
@@ -147,7 +146,6 @@ pub struct ThreadLauncher {
     pub plan: ShardPlan,
     pub cfg: InferConfig,
     pub ckpt: ShardCkptOptions,
-    pub retire: Option<RetirePolicy>,
     pub faults: sya_runtime::FaultPlan,
     pub read_timeout: Duration,
 }
@@ -170,7 +168,6 @@ impl WorkerLauncher for ThreadLauncher {
             shard: spec.shard,
             connect: spec.connect.clone(),
             ckpt: self.ckpt.clone(),
-            retire: self.retire,
             resume: spec.attempt > 0 || self.ckpt.resume,
             read_timeout: self.read_timeout,
         };
@@ -392,24 +389,22 @@ impl TelemetryWire {
 }
 
 /// Builds the per-epoch telemetry payload: the worker's own metrics
-/// snapshot overlaid with chain progress (shipped even when the worker
-/// runs with observability disabled) and, when profiling is on, the
-/// hot-path profiler totals.
+/// snapshot overlaid with its sampling progress (shipped even when the
+/// worker runs with observability disabled) and, when profiling is on,
+/// the hot-path profiler totals.
 fn telemetry_payload(
     obs: &sya_obs::Obs,
-    chain: &Chain,
     epoch: usize,
-    last_delta: f64,
-    retired: bool,
+    samples: u64,
+    flips: u64,
+    max_delta: f64,
 ) -> Vec<u8> {
     let snap = obs.metrics_snapshot();
     let mut wire = TelemetryWire { counters: snap.counters, gauges: snap.gauges };
-    let (samples, flips) = chain.progress();
     wire.counters.insert("infer.shard.samples_total".to_owned(), samples);
     wire.counters.insert("infer.shard.flips_total".to_owned(), flips);
     wire.gauges.insert("shard.epoch".to_owned(), epoch as f64);
-    wire.gauges.insert("shard.max_delta".to_owned(), last_delta);
-    wire.gauges.insert("shard.retired".to_owned(), f64::from(u8::from(retired)));
+    wire.gauges.insert("shard.max_delta".to_owned(), max_delta);
     if sya_obs::profile::enabled() {
         for s in sya_obs::profile::snapshot() {
             wire.counters.insert(format!("{}.ops_total", s.site.name()), s.ops);
@@ -555,34 +550,6 @@ pub fn run_worker(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn save_worker_ckpt(
-    store: Option<&CheckpointStore>,
-    ctx: &ExecContext,
-    me: usize,
-    n: usize,
-    chain: &Chain,
-    next_epoch: usize,
-    warnings: &mut Vec<String>,
-    outcome: &mut RunOutcome,
-) {
-    let Some(store) = store else { return };
-    let state = CheckpointState::Shard {
-        shard: me as u64,
-        of: n as u64,
-        chain: chain.chain_state(next_epoch),
-    };
-    let result = if ctx.take_checkpoint_save_failure() {
-        Err("injected checkpoint save failure".to_owned())
-    } else {
-        store.save_state(&state).map(|_| ()).map_err(|e| e.to_string())
-    };
-    if let Err(e) = result {
-        warnings.push(format!("shard {me}: checkpoint save failed: {e}"));
-        *outcome = outcome.combine(RunOutcome::Degraded);
-    }
-}
-
 /// Writes a frame with a deliberately wrong CRC (fault injection): the
 /// header is well-formed, the payload real, the checksum inverted.
 fn write_corrupt_frame(stream: &mut TcpStream) -> Result<(), String> {
@@ -594,6 +561,127 @@ fn write_corrupt_frame(stream: &mut TcpStream) -> Result<(), String> {
     stream.flush().map_err(|e| e.to_string())
 }
 
+/// Saves the driver's one-chain states into the worker's own store as
+/// its shard's state.
+struct ShardSink<'a> {
+    store: &'a CheckpointStore,
+    shard: usize,
+    of: usize,
+}
+
+impl CheckpointSink for ShardSink<'_> {
+    fn save(&self, state: &CheckpointState) -> Result<(), String> {
+        let CheckpointState::Run { chains, .. } = state else {
+            return Err(format!("a {} state is not a worker's run", state.kind()));
+        };
+        let chain = chains.first().cloned().ok_or("a run state without a chain")?;
+        let state = CheckpointState::Shard { shard: self.shard as u64, of: self.of as u64, chain };
+        self.store.save_state(&state).map(|_| ()).map_err(|e| e.to_string())
+    }
+}
+
+/// The worker's [`Halo`]: phase exchange and epoch close over the
+/// coordinator socket, plus the cluster fault hooks.
+struct SocketHalo<'a> {
+    me: usize,
+    owner: &'a [u32],
+    stream: &'a mut TcpStream,
+    ctx: &'a ExecContext,
+    warnings: Vec<String>,
+    /// How the coordinator ended the run early, if it did.
+    ended: Option<Flow>,
+}
+
+impl SocketHalo<'_> {
+    /// Reads frames until `want` takes one. `ShardLost` is noted;
+    /// `Rollback` and `Stop` end the run.
+    fn await_frame<T>(
+        &mut self,
+        what: &str,
+        want: impl Fn(Frame) -> Option<T>,
+    ) -> Result<T, String> {
+        let me = self.me;
+        loop {
+            let frame = read_frame(self.stream)
+                .map_err(|e| format!("shard {me}: awaiting {what}: {e}"))?;
+            let ended = match frame {
+                Frame::ShardLost { shard } => {
+                    self.warnings.push(format!(
+                        "shard {shard} was lost; its halo values are frozen from here on"
+                    ));
+                    continue;
+                }
+                Frame::Rollback => Flow::Rollback,
+                Frame::Stop { .. } => Flow::Stopped,
+                other => {
+                    let name = other.name();
+                    return want(other)
+                        .ok_or_else(|| format!("shard {me}: expected {what}, got {name}"));
+                }
+            };
+            self.ended = Some(ended);
+            return Err(format!("shard {me}: the coordinator ended the run"));
+        }
+    }
+}
+
+impl Halo for SocketHalo<'_> {
+    fn exchange(
+        &mut self,
+        epoch: usize,
+        phase: usize,
+        own: &[(u32, u32)],
+    ) -> Result<Vec<(u32, u32)>, String> {
+        let me = self.me;
+        if phase == 0 {
+            if self.ctx.take_worker_kill(me, epoch) {
+                return Err(format!("shard {me}: injected worker kill at epoch {epoch}"));
+            }
+            if let Some(pause) = self.ctx.take_worker_stall(me, epoch) {
+                std::thread::sleep(pause);
+            }
+            if self.ctx.take_corrupt_frame(me, epoch) {
+                write_corrupt_frame(self.stream)?;
+                return Err(format!("shard {me}: injected corrupt frame at epoch {epoch}"));
+            }
+        }
+        let publish =
+            Frame::Publish { epoch: epoch as u64, phase: phase as u32, writes: own.to_vec() };
+        write_frame(self.stream, &publish)
+            .map_err(|e| format!("shard {me}: publish e{epoch} p{phase}: {e}"))?;
+        let owner = self.owner;
+        self.await_frame(&format!("Halo e{epoch} p{phase}"), |frame| match frame {
+            Frame::Halo { mut writes, .. } => {
+                writes.retain(|&(v, _)| owner[v as usize] as usize != me);
+                Some(writes)
+            }
+            _ => None,
+        })
+    }
+
+    fn end_epoch(
+        &mut self,
+        epoch: usize,
+        samples: u64,
+        flips: u64,
+        max_delta: f64,
+    ) -> Result<Option<RunOutcome>, String> {
+        let me = self.me;
+        let payload = telemetry_payload(self.ctx.obs(), epoch, samples, flips, max_delta);
+        let telemetry = Frame::Telemetry { shard: me as u32, epoch: epoch as u64, payload };
+        write_frame(self.stream, &telemetry)
+            .map_err(|e| format!("shard {me}: telemetry e{epoch}: {e}"))?;
+        write_frame(self.stream, &Frame::EpochEnd { epoch: epoch as u64 })
+            .map_err(|e| format!("shard {me}: epoch end {epoch}: {e}"))?;
+        self.await_frame(&format!("Proceed e{epoch}"), |frame| match frame {
+            Frame::Proceed { stop } => Some(stop.map(outcome_from_code)),
+            _ => None,
+        })
+    }
+}
+
+/// One rendezvous's worth of sampling: the driver holding this shard's
+/// owner, from `start_epoch` (a local checkpoint) or from scratch.
 #[allow(clippy::too_many_arguments)]
 fn run_epochs(
     graph: &FactorGraph,
@@ -609,229 +697,59 @@ fn run_epochs(
 ) -> Result<Flow, String> {
     let me = opts.shard;
     let n = plan.shards;
-    let burn = cfg.burn_in.min(epochs_total.saturating_sub(1));
-    let mut warnings = Vec::new();
-    let mut outcome = RunOutcome::Completed;
-
-    let mut resumed = None;
-    let board = if start_epoch > 0 {
-        let store = store.ok_or_else(|| {
-            format!("shard {me}: welcomed at epoch {start_epoch} without a checkpoint store")
-        })?;
-        let state = store
-            .load_epoch(start_epoch as u64)
-            .map_err(|e| format!("shard {me}: load epoch {start_epoch}: {e}"))?;
-        let CheckpointState::Shard { shard, of, chain: saved } = state else {
-            return Err(format!("shard {me}: checkpoint at {start_epoch} is not a shard state"));
-        };
-        if shard as usize != me || of as usize != n {
+    let resume = match (start_epoch, store) {
+        (0, _) => None,
+        (_, None) => {
             return Err(format!(
-                "shard {me}: checkpoint at {start_epoch} belongs to shard {shard}/{of}"
-            ));
+                "shard {me}: welcomed at epoch {start_epoch} without a checkpoint store"
+            ))
         }
-        let (_, assignment, counts, recorded) =
-            saved.restore(graph).map_err(|e| format!("shard {me}: restore: {e}"))?;
-        resumed = Some((counts, recorded));
-        assignment
-    } else {
-        init_board(graph, cfg.seed, None)
-    };
-    let mut chain = Chain::new(graph, schedule, cfg.seed, plan.owned[me].clone(), board)
-        .map_err(|e| format!("shard {me}: {e}"))?;
-    if let Some((counts, recorded)) = resumed {
-        chain.resume_counts(counts, recorded);
-    }
-    if opts.retire.is_some() {
-        let exposed: Vec<u32> = (0..n)
-            .filter(|&s| s != me)
-            .flat_map(|s| plan.interface.halo[s].iter().copied())
-            .collect();
-        chain.set_boundary(&exposed);
-    }
-    let retire_floor = opts.retire.map(|p| p.min_epoch.max(burn));
-
-    let mut retired_at: Option<usize> = None;
-    let mut retire_halo_delta: Option<f64> = None;
-    let mut retired_above_tol = false;
-    let mut strict_refusals = 0usize;
-    let mut streak = 0usize;
-    let mut epochs_sampled = 0usize;
-    let mut epoch = start_epoch;
-    let mut stopped: Option<RunOutcome> = None;
-    let mut last_delta = 0.0f64;
-
-    while epoch < epochs_total {
-        if ctx.take_worker_kill(me, epoch) {
-            return Err(format!("shard {me}: injected worker kill at epoch {epoch}"));
-        }
-        let record = epoch >= burn;
-        let active = retired_at.is_none();
-        for phase in 0..schedule.len() {
-            if active {
-                chain.sample_phase(phase, epoch);
-            }
-            if phase == 0 {
-                if let Some(pause) = ctx.take_worker_stall(me, epoch) {
-                    std::thread::sleep(pause);
-                }
-                if ctx.take_corrupt_frame(me, epoch) {
-                    write_corrupt_frame(stream)?;
-                    return Err(format!("shard {me}: injected corrupt frame at epoch {epoch}"));
-                }
-            }
-            let writes: Vec<(u32, u32)> = chain.pending_writes().to_vec();
-            write_frame(stream, &Frame::Publish { epoch: epoch as u64, phase: phase as u32, writes })
-                .map_err(|e| format!("shard {me}: publish e{epoch} p{phase}: {e}"))?;
-            chain.publish(record);
-            loop {
-                match read_frame(stream)
-                    .map_err(|e| format!("shard {me}: awaiting halo e{epoch} p{phase}: {e}"))?
-                {
-                    Frame::Halo { mut writes, .. } => {
-                        writes.retain(|&(v, _)| plan.owner[v as usize] as usize != me);
-                        chain.apply_halo(&writes);
-                        break;
-                    }
-                    Frame::ShardLost { shard } => warnings.push(format!(
-                        "shard {shard} was lost; its halo values are frozen from here on"
-                    )),
-                    Frame::Rollback => return Ok(Flow::Rollback),
-                    Frame::Stop { .. } => return Ok(Flow::Stopped),
-                    other => {
-                        return Err(format!(
-                            "shard {me}: expected Halo, got {} (e{epoch} p{phase})",
-                            other.name()
-                        ))
-                    }
-                }
-            }
-        }
-        if active {
-            epochs_sampled += 1;
-            let delta = chain.end_epoch(record);
-            last_delta = delta;
-            if let (Some(policy), Some(floor)) = (opts.retire, retire_floor) {
-                if record && epoch >= floor && delta < policy.tol {
-                    if streak == 0 {
-                        chain.snapshot_boundary();
-                    }
-                    streak += 1;
-                    if streak >= policy.window {
-                        let halo_delta = chain.boundary_delta();
-                        if policy.strict && halo_delta > policy.tol {
-                            strict_refusals += 1;
-                            streak = 0;
-                        } else {
-                            if halo_delta > policy.tol {
-                                retired_above_tol = true;
-                                warnings.push(format!(
-                                    "shard {me}: retired at epoch {epoch} with boundary drift \
-                                     {halo_delta:.3e} above tol {:.3e}; neighbour halos inherit \
-                                     this staleness",
-                                    policy.tol
-                                ));
-                            }
-                            retire_halo_delta = Some(halo_delta);
-                            retired_at = Some(epoch);
-                        }
-                    }
-                } else {
-                    streak = 0;
-                }
-            }
-        }
-        let payload = telemetry_payload(ctx.obs(), &chain, epoch, last_delta, retired_at.is_some());
-        write_frame(stream, &Frame::Telemetry { shard: me as u32, epoch: epoch as u64, payload })
-            .map_err(|e| format!("shard {me}: telemetry e{epoch}: {e}"))?;
-        write_frame(stream, &Frame::EpochEnd { epoch: epoch as u64, retired: retired_at.is_some() })
-            .map_err(|e| format!("shard {me}: epoch end {epoch}: {e}"))?;
-        loop {
-            match read_frame(stream)
-                .map_err(|e| format!("shard {me}: awaiting proceed e{epoch}: {e}"))?
+        (_, Some(store)) => match store.load_epoch(start_epoch as u64) {
+            Ok(CheckpointState::Shard { shard, of, chain })
+                if shard as usize == me && of as usize == n =>
             {
-                Frame::Proceed { stop } => {
-                    if let Some(code) = stop {
-                        stopped = Some(outcome_from_code(code));
-                    }
-                    break;
-                }
-                Frame::ShardLost { shard } => warnings.push(format!(
-                    "shard {shard} was lost; its halo values are frozen from here on"
-                )),
-                Frame::Rollback => return Ok(Flow::Rollback),
-                Frame::Stop { .. } => return Ok(Flow::Stopped),
-                other => {
-                    return Err(format!(
-                        "shard {me}: expected Proceed, got {} (e{epoch})",
-                        other.name()
-                    ))
-                }
+                Some(vec![chain])
             }
-        }
-        epoch += 1;
-        if let Some(o) = stopped {
-            outcome = outcome.combine(o);
-            break;
-        }
-        if store.is_some()
-            && opts.ckpt.every > 0
-            && epoch < epochs_total
-            && epoch.is_multiple_of(opts.ckpt.every)
-        {
-            save_worker_ckpt(store, ctx, me, n, &chain, epoch, &mut warnings, &mut outcome);
-        }
-    }
-    save_worker_ckpt(store, ctx, me, n, &chain, epoch, &mut warnings, &mut outcome);
-    if strict_refusals > 0 {
-        warnings.push(format!(
-            "shard {me}: strict retirement gating refused {strict_refusals} retirement \
-             attempt(s) on boundary drift"
-        ));
-    }
-    if chain.snapshot_if_unrecorded() {
-        warnings.push(format!(
-            "shard {me}: run ended before burn-in; marginals from a single snapshot"
-        ));
-        outcome = outcome.combine(RunOutcome::Degraded);
-    }
-    let (counts, series) = chain.finish();
-    let report = DoneReport {
-        stats: ShardStats {
-            shard: me,
-            owned_vars: plan.owned[me].len(),
-            halo_vars: plan.interface.halo[me].len(),
-            boundary_factors: plan.interface.boundary_per_shard[me],
-            halo_bytes: plan.interface.halo_bytes(me),
-            epochs_sampled,
-            retired_at,
-            retire_halo_delta,
-            retired_above_tol,
-            flips_total: series.flips_total,
-            samples_total: series.samples_total,
+            Ok(other) => {
+                return Err(format!(
+                    "shard {me}: the {} checkpoint at {start_epoch} is not shard {me}/{n}'s",
+                    other.kind()
+                ))
+            }
+            Err(e) => return Err(format!("shard {me}: load epoch {start_epoch}: {e}")),
         },
-        counts: counts.to_rows(),
-        warnings,
-        outcome: outcome_code(outcome),
-        epochs_run: epoch as u64,
-        series: SeriesWire::from_series(&series),
     };
-    Ok(Flow::Done(Box::new(report)))
-}
-
-fn placeholder_stats(shard: usize) -> ShardStats {
-    ShardStats {
-        shard,
-        owned_vars: 0,
-        halo_vars: 0,
-        boundary_factors: 0,
-        halo_bytes: 0,
-        epochs_sampled: 0,
-        retired_at: None,
-        retire_halo_delta: None,
-        retired_above_tol: false,
-        flips_total: 0,
-        samples_total: 0,
-    }
+    let sink = store.map(|store| ShardSink { store, shard: me, of: n });
+    let ckpt = match &sink {
+        Some(sink) => CheckpointOptions::to_sink(sink, opts.ckpt.every),
+        None => CheckpointOptions::none(),
+    };
+    let cfg = InferConfig { epochs: epochs_total, ..cfg.clone() };
+    let mut halo =
+        SocketHalo { me, owner: &plan.owner, stream, ctx, warnings: Vec::new(), ended: None };
+    let owners = Owners::Held { owner: &plan.owner, held: me as u32, halo: &mut halo };
+    let result = run_gibbs(graph, schedule, &cfg, None, ctx, ckpt, resume, owners);
+    let run = match (result, halo.ended.take()) {
+        (_, Some(flow)) => return Ok(flow),
+        (Err(e), None) => return Err(format!("shard {me}: {e}")),
+        (Ok(run), None) => run,
+    };
+    let mut warnings = halo.warnings;
+    warnings.extend(run.warnings);
+    let series = run.telemetry;
+    let stats = ShardStats {
+        flips_total: series.flips_total,
+        samples_total: series.samples_total,
+        ..ShardStats::of_plan(plan, me)
+    };
+    Ok(Flow::Done(Box::new(DoneReport {
+        stats,
+        counts: run.counts.to_rows(),
+        warnings,
+        outcome: outcome_code(run.outcome),
+        epochs_run: (start_epoch + series.epochs) as u64,
+        series: SeriesWire::from_series(&series),
+    })))
 }
 
 // ---------------------------------------------------- the coordinator
@@ -1317,14 +1235,11 @@ impl<'a> Supervisor<'a> {
                         return Ok(Drive::Rendezvous);
                     }
                 }
-                Frame::EpochEnd { epoch, .. } => {
+                Frame::EpochEnd { epoch } => {
                     let epoch = *epoch;
-                    let mut all_retired = true;
                     for (w, frame) in &frames {
                         match frame {
-                            Frame::EpochEnd { epoch: e, retired } if *e == epoch => {
-                                all_retired &= *retired;
-                            }
+                            Frame::EpochEnd { epoch: e } if *e == epoch => {}
                             other => {
                                 return Err(InferError::Cluster {
                                     detail: format!(
@@ -1339,11 +1254,7 @@ impl<'a> Supervisor<'a> {
                     self.obs().counter_add(met::HEARTBEATS, frames.len() as u64);
                     self.epoch_now = epoch + 1;
                     self.update_status(false);
-                    let stop: Option<u8> = self
-                        .ctx
-                        .interrupted()
-                        .map(outcome_code)
-                        .or_else(|| all_retired.then_some(outcome_code(RunOutcome::Completed)));
+                    let stop = self.ctx.interrupted().map(outcome_code);
                     if self.broadcast(&Frame::Proceed { stop }) {
                         return Ok(Drive::Rendezvous);
                     }
@@ -1478,7 +1389,6 @@ impl<'a> Supervisor<'a> {
         let mut per_shard_counts = Vec::with_capacity(n);
         let mut all_series = Vec::new();
         let mut epochs_run = 0usize;
-        let mut max_halo_delta: Option<f64> = None;
         let mut any_counts = false;
         for w in 0..n {
             let report = self.workers[w].report.take();
@@ -1493,14 +1403,6 @@ impl<'a> Supervisor<'a> {
                         })?;
                     let series = report.series.into_series();
                     series.publish(&obs, &format!("shard.{w}"));
-                    obs.gauge_set(
-                        &format!("shard.{w}.retired_at"),
-                        report.stats.retired_at.map_or(-1.0, |e| e as f64),
-                    );
-                    if let Some(b) = report.stats.retire_halo_delta {
-                        obs.gauge_set(&format!("shard.{w}.retire.halo_delta"), b);
-                        max_halo_delta = Some(max_halo_delta.map_or(b, |m: f64| m.max(b)));
-                    }
                     total.merge(&counts);
                     any_counts = true;
                     all_series.push(series);
@@ -1508,18 +1410,12 @@ impl<'a> Supervisor<'a> {
                     per_shard.push(report.stats);
                 }
                 None => {
-                    let mut stats = placeholder_stats(w);
-                    stats.owned_vars = self.plan.owned[w].len();
-                    stats.halo_vars = self.plan.interface.halo[w].len();
-                    stats.boundary_factors = self.plan.interface.boundary_per_shard[w];
-                    stats.halo_bytes = self.plan.interface.halo_bytes(w);
                     match self.recover_from_ckpt(w) {
                         Some((counts, epoch)) => {
                             self.warnings.push(format!(
                                 "shard {w}: merged counts recovered from its checkpoint at \
                                  epoch {epoch}"
                             ));
-                            stats.epochs_sampled = epoch as usize;
                             total.merge(&counts);
                             any_counts = true;
                             per_shard_counts.push(counts);
@@ -1532,7 +1428,7 @@ impl<'a> Supervisor<'a> {
                             per_shard_counts.push(MarginalCounts::new(self.graph));
                         }
                     }
-                    per_shard.push(stats);
+                    per_shard.push(ShardStats::of_plan(self.plan, w));
                 }
             }
         }
@@ -1541,9 +1437,6 @@ impl<'a> Supervisor<'a> {
                 detail: "every shard was lost with no report and no usable checkpoint"
                     .to_owned(),
             });
-        }
-        if let Some(b) = max_halo_delta {
-            obs.gauge_set("shard.retire.halo_delta", b);
         }
         let telemetry = ConvergenceSeries::merge_mean(&all_series);
         telemetry.publish(&obs, "infer.shard");

@@ -1,29 +1,27 @@
 //! # sya-shard — the spatial sharding layer
 //!
 //! Scales Sya's inference out by cutting the knowledge base along
-//! pyramid cells (DESIGN.md §12):
+//! pyramid cells (DESIGN.md §12). A shard is an owner table over the
+//! sweep schedule's units, not a sampler: every sharded run is the one
+//! driver, [`sya_infer::run_gibbs`].
 //!
 //! * [`plan`] — the partitioner: the `2^l × 2^l` cells of the partition
 //!   level, sorted spatially and split into `N` contiguous groups
 //!   balanced by variable count; every factor is classified interior or
 //!   *boundary* and every variable is, per shard, owned or a *halo*
 //!   (read-only replica of a neighbour's variable);
-//! * [`exec`] — per-shard [`Chain`](sya_infer::Chain)s (the phase-step
-//!   API of the one Gibbs kernel) on their own threads, each over its
-//!   own board copy, exchanging halo state at phase barriers, with
-//!   per-shard
-//!   `sya-ckpt` checkpoint stores tied together by a manifest, per-shard
-//!   `sya-obs` gauges (`shard.N.vars`, `shard.N.boundary_factors`,
-//!   `shard.N.halo_bytes`) and flip-rate series, and an optional
-//!   convergence-based retirement policy that lets quiet shards stop
-//!   sampling early.
+//! * [`exec`] — [`run_in_process`]: the driver at one instance with the
+//!   plan's owner table dealing each cell to its shard's view, plus the
+//!   checkpoint wiring, manifest and report types the cluster shares;
+//! * [`cluster`] and [`wire`] — the multi-process run (DESIGN.md §13): a
+//!   worker is the driver holding its shard alone, with the coordinator
+//!   socket as its halo hook.
 //!
-//! A shard is an ownership filter over the sweep schedule's units: the
-//! draws use RNG streams derived from `(seed, epoch, phase, variable)`
+//! Draws use RNG streams derived from `(seed, epoch, phase, variable)`
 //! and every cell is swept by exactly one owner against the phase-start
-//! board, so without retirement the merged marginals are
-//! **bit-identical for every shard count** — `sya run --shards 4`
-//! equals `--shards 1` equals the unsharded single-instance run. A plan
+//! board, so the merged marginals are **bit-identical for every shard
+//! count** — `sya run --shards 4` equals `--shards 1` equals the
+//! unsharded single-instance run, in process or over the wire. A plan
 //! that would split a sweep cell between owners is refused
 //! (`InferError::SplitUnit`), never sampled differently.
 //! The serving router that maps queries and evidence to owning shards
@@ -39,8 +37,8 @@ pub use cluster::{
     ThreadLauncher, WorkerHandle, WorkerLauncher, WorkerOptions, WorkerSpec,
 };
 pub use exec::{
-    run_sharded, RetirePolicy, ShardCkptOptions, ShardHealth, ShardManifest, ShardRunReport,
-    ShardStats, MANIFEST_FILE, MANIFEST_SCHEMA,
+    run_in_process, ShardCkptOptions, ShardHealth, ShardManifest, ShardRunReport, ShardStats,
+    MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 pub use plan::{ShardPlan, ShardSummary};
 pub use wire::{Frame, WireError};
@@ -48,12 +46,12 @@ pub use wire::{Frame, WireError};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use std::time::Duration;
     use sya_fg::{FactorGraph, SpatialFactor, VarId, Variable};
     use sya_geom::Point;
     use sya_ground::pyramid_cell_map;
-    use sya_infer::{InferConfig, PyramidIndex};
-    use sya_runtime::ExecContext;
+    use sya_infer::{CheckpointOptions, InferConfig, MarginalCounts, PyramidIndex};
+    use sya_runtime::{ExecContext, FaultPlan};
 
     fn grid(n: usize, evidence_at_origin: bool) -> FactorGraph {
         let mut g = FactorGraph::new();
@@ -92,20 +90,110 @@ mod tests {
         }
     }
 
-    fn run(graph: &FactorGraph, cfg: &InferConfig, shards: usize) -> ShardRunReport {
+    fn plan(graph: &FactorGraph, shards: usize) -> ShardPlan {
+        ShardPlan::build(graph, &pyramid_cell_map(graph, 1), shards, 1)
+    }
+
+    fn run(graph: &FactorGraph, cfg: &InferConfig, shards: usize) -> MarginalCounts {
         let pyramid = PyramidIndex::build(graph, cfg.levels, cfg.cell_capacity);
-        let cells = pyramid_cell_map(graph, 1);
-        let plan = ShardPlan::build(graph, &cells, shards, 1);
-        run_sharded(
-            graph,
-            &pyramid,
-            &plan,
-            cfg,
-            None,
-            &ShardCkptOptions::default(),
-            &ExecContext::unbounded(),
-        )
-        .unwrap()
+        let (ctx, ckpt) = (ExecContext::unbounded(), CheckpointOptions::none());
+        run_in_process(graph, &pyramid, &plan(graph, shards), cfg, &ctx, ckpt, None)
+            .unwrap()
+            .counts
+    }
+
+    /// A cluster of worker threads speaking TCP to a coordinator.
+    fn cluster(graph: &FactorGraph, cfg: &InferConfig, shards: usize) -> ShardRunReport {
+        cluster_with(graph, cfg, shards, &ShardCkptOptions::default())
+    }
+
+    fn cluster_with(
+        graph: &FactorGraph,
+        cfg: &InferConfig,
+        shards: usize,
+        ckpt: &ShardCkptOptions,
+    ) -> ShardRunReport {
+        let plan = plan(graph, shards);
+        let launcher = ThreadLauncher {
+            graph: graph.clone(),
+            plan: plan.clone(),
+            cfg: cfg.clone(),
+            ckpt: ckpt.clone(),
+            faults: FaultPlan::none(),
+            read_timeout: Duration::from_secs(10),
+        };
+        let ctx = ExecContext::unbounded();
+        run_cluster(graph, &plan, cfg, ckpt, &ClusterConfig::default(), &launcher, None, &ctx)
+            .unwrap()
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sya_shard_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn syackpt_files(dir: &std::path::Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "syackpt"))
+            .count()
+    }
+
+    /// A cluster stopped at epoch 60 leaves one store per shard and a
+    /// manifest; a second cluster run resumes from them and lands on the
+    /// uninterrupted counts.
+    #[test]
+    fn checkpoints_write_per_shard_stores_and_manifest_and_resume_matches() {
+        let g = grid(4, true);
+        let cfg = cfg(120);
+        let reference = run(&g, &cfg, 2);
+        let dir = tmp_dir("resume");
+
+        let first_cfg = InferConfig { epochs: 60, ..cfg.clone() };
+        let opts = ShardCkptOptions { dir: Some(dir.clone()), every: 10, resume: false };
+        cluster_with(&g, &first_cfg, 2, &opts);
+
+        let manifest = ShardManifest::read(&dir).unwrap();
+        assert_eq!(manifest.schema, MANIFEST_SCHEMA);
+        assert_eq!(manifest.shards, 2);
+        for name in &manifest.stores {
+            assert!(syackpt_files(&dir.join(name)) > 0, "store {name} has checkpoint files");
+        }
+
+        let opts = ShardCkptOptions { resume: true, ..opts };
+        let resumed = cluster_with(&g, &cfg, 2, &opts);
+        assert!(resumed.outcome.is_completed(), "{:?}", resumed.warnings);
+        assert_eq!(resumed.telemetry.epochs, 60, "the fleet resumes from epoch 60");
+        assert_eq!(
+            resumed.counts, reference,
+            "interrupted+resumed must equal the uninterrupted run exactly"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Stores written by a 2-shard cluster do not fit a 3-shard plan:
+    /// the 3-shard run starts fresh, so a first leg run under another
+    /// seed leaves no trace in its counts, and the manifest is rewritten.
+    #[test]
+    fn manifest_shard_count_mismatch_starts_fresh() {
+        let g = grid(4, true);
+        let cfg = cfg(40);
+        let dir = tmp_dir("mismatch");
+
+        let stale = InferConfig { seed: 7, ..cfg.clone() };
+        let opts = ShardCkptOptions { dir: Some(dir.clone()), every: 5, resume: false };
+        cluster_with(&g, &stale, 2, &opts);
+        assert_eq!(ShardManifest::read(&dir).unwrap().shards, 2);
+
+        let opts = ShardCkptOptions { resume: true, ..opts };
+        let report = cluster_with(&g, &cfg, 3, &opts);
+        assert!(report.outcome.is_completed(), "{:?}", report.warnings);
+        assert_eq!(report.telemetry.epochs, 40, "the fleet samples every epoch again");
+        assert_eq!(report.counts, run(&g, &cfg, 3), "a fresh start ignores the 2-shard stores");
+        assert_eq!(ShardManifest::read(&dir).unwrap().shards, 3);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -114,22 +202,21 @@ mod tests {
         let cfg = cfg(200);
         let reference = run(&g, &cfg, 1);
         for shards in [2, 3, 4] {
-            let sharded = run(&g, &cfg, shards);
             assert_eq!(
-                reference.counts, sharded.counts,
+                reference,
+                run(&g, &cfg, shards),
                 "shards={shards} must reproduce the single-shard counts exactly"
             );
         }
     }
 
     /// A variable whose factors all sit inside one shard is never
-    /// resampled by any other shard: every foreign shard's counts have
+    /// resampled by any other worker: every foreign worker's counts have
     /// an all-zero row for it.
     #[test]
     fn interior_variable_is_never_resampled_by_a_foreign_shard() {
         let g = grid(4, false);
-        let cells = pyramid_cell_map(&g, 1);
-        let plan = ShardPlan::build(&g, &cells, 4, 1);
+        let plan = plan(&g, 4);
         // Pick an interior variable: all its neighbours share its owner.
         let interior = (0..g.num_variables() as VarId)
             .find(|&v| {
@@ -140,8 +227,7 @@ mod tests {
             .expect("a 4×4 grid cut into quadrants has interior variables");
         let home = plan.owner_of(interior);
 
-        let cfg = cfg(100);
-        let report = run(&g, &cfg, 4);
+        let report = cluster(&g, &cfg(100), 4);
         for (s, counts) in report.per_shard_counts.iter().enumerate() {
             let row_total = counts.total_samples(interior);
             if s == home {
@@ -158,7 +244,7 @@ mod tests {
     #[test]
     fn report_carries_per_shard_interface_stats() {
         let g = grid(4, true);
-        let report = run(&g, &cfg(60), 2);
+        let report = cluster(&g, &cfg(60), 2);
         assert_eq!(report.per_shard.len(), 2);
         let halo_total: usize = report.per_shard.iter().map(|s| s.halo_vars).sum();
         assert!(halo_total > 0, "a cut 4×4 grid has halo variables");
@@ -172,127 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn retirement_ends_the_run_early_and_reports_it() {
-        // Strong evidence coupling + generous tolerance: every shard
-        // retires long before the epoch budget.
-        let g = grid(4, true);
-        let cfg = cfg(4000);
-        let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
-        let cells = pyramid_cell_map(&g, 1);
-        let plan = ShardPlan::build(&g, &cells, 2, 1);
-        let policy = RetirePolicy { tol: 0.05, window: 4, min_epoch: 0, strict: false };
-        let report = run_sharded(
-            &g,
-            &pyramid,
-            &plan,
-            &cfg,
-            Some(policy),
-            &ShardCkptOptions::default(),
-            &ExecContext::unbounded(),
-        )
-        .unwrap();
-        assert!(
-            report.epochs_run < 4000,
-            "all shards should retire early, ran {}",
-            report.epochs_run
-        );
-        for s in &report.per_shard {
-            assert!(s.retired_at.is_some(), "shard {} never retired", s.shard);
-            assert!(s.epochs_sampled < 4000);
-        }
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sya_shard_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn checkpoints_write_per_shard_stores_and_manifest_and_resume_matches() {
-        let g = grid(4, true);
-        let cfg = cfg(120);
-        let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
-        let cells = pyramid_cell_map(&g, 1);
-        let plan = ShardPlan::build(&g, &cells, 2, 1);
-        let dir = tmp_dir("resume");
-
-        // Uninterrupted reference.
-        let reference = run_sharded(
-            &g,
-            &pyramid,
-            &plan,
-            &cfg,
-            None,
-            &ShardCkptOptions::default(),
-            &ExecContext::unbounded(),
-        )
-        .unwrap();
-
-        // First leg: stop early via a tiny epoch budget, checkpointing.
-        let mut first_cfg = cfg.clone();
-        first_cfg.epochs = 60;
-        first_cfg.burn_in = cfg.burn_in;
-        let opts = ShardCkptOptions { dir: Some(dir.clone()), every: 10, resume: false };
-        run_sharded(&g, &pyramid, &plan, &first_cfg, None, &opts, &ExecContext::unbounded())
-            .unwrap();
-
-        let manifest = ShardManifest::read(&dir).unwrap();
-        assert_eq!(manifest.schema, MANIFEST_SCHEMA);
-        assert_eq!(manifest.shards, 2);
-        for name in &manifest.stores {
-            let files: Vec<_> = std::fs::read_dir(dir.join(name))
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .filter(|p| p.extension().is_some_and(|e| e == "syackpt"))
-                .collect();
-            assert!(!files.is_empty(), "store {name} has checkpoint files");
-        }
-
-        // Second leg: resume and run to the full budget.
-        let opts = ShardCkptOptions { dir: Some(dir.clone()), every: 10, resume: true };
-        let resumed =
-            run_sharded(&g, &pyramid, &plan, &cfg, None, &opts, &ExecContext::unbounded())
-                .unwrap();
-        assert!(
-            resumed.warnings.iter().any(|w| w.contains("resumed all 2 shards from epoch 60")),
-            "warnings: {:?}",
-            resumed.warnings
-        );
-        assert_eq!(
-            resumed.counts, reference.counts,
-            "interrupted+resumed must equal the uninterrupted run exactly"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn manifest_shard_count_mismatch_starts_fresh() {
-        let g = grid(4, true);
-        let cfg = cfg(40);
-        let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
-        let cells = pyramid_cell_map(&g, 1);
-        let dir = tmp_dir("mismatch");
-
-        let plan2 = ShardPlan::build(&g, &cells, 2, 1);
-        let opts = ShardCkptOptions { dir: Some(dir.clone()), every: 5, resume: false };
-        run_sharded(&g, &pyramid, &plan2, &cfg, None, &opts, &ExecContext::unbounded()).unwrap();
-
-        let plan3 = ShardPlan::build(&g, &cells, 3, 1);
-        let opts = ShardCkptOptions { dir: Some(dir.clone()), every: 5, resume: true };
-        let report =
-            run_sharded(&g, &pyramid, &plan3, &cfg, None, &opts, &ExecContext::unbounded())
-                .unwrap();
-        assert!(
-            report.warnings.iter().any(|w| w.contains("starting fresh")),
-            "warnings: {:?}",
-            report.warnings
-        );
-        assert_eq!(ShardManifest::read(&dir).unwrap().shards, 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn a_plan_that_splits_a_sweep_cell_is_refused() {
         // Partition at level 2 (16 single-variable cells) but sweep at
         // level 1 (4 cells of 4): two shards would share a sweep cell.
@@ -300,16 +265,8 @@ mod tests {
         let cfg = InferConfig { levels: 1, locality_level: 1, ..cfg(20) };
         let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
         let plan = ShardPlan::build(&g, &pyramid_cell_map(&g, 2), 3, 2);
-        let err = run_sharded(
-            &g,
-            &pyramid,
-            &plan,
-            &cfg,
-            None,
-            &ShardCkptOptions::default(),
-            &ExecContext::unbounded(),
-        )
-        .unwrap_err();
+        let (ctx, ckpt) = (ExecContext::unbounded(), CheckpointOptions::none());
+        let err = run_in_process(&g, &pyramid, &plan, &cfg, &ctx, ckpt, None).unwrap_err();
         assert!(matches!(err, sya_infer::InferError::SplitUnit { .. }), "{err}");
     }
 }

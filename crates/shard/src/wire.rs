@@ -93,8 +93,8 @@ pub enum Frame {
     Publish { epoch: u64, phase: u32, writes: Vec<(u32, u32)> },
     /// The merged write set of a phase, broadcast to every worker.
     Halo { epoch: u64, phase: u32, writes: Vec<(u32, u32)> },
-    /// A worker finished an epoch (and whether it has retired).
-    EpochEnd { epoch: u64, retired: bool },
+    /// A worker finished an epoch.
+    EpochEnd { epoch: u64 },
     /// Coordinator's end-of-epoch verdict: keep going (`stop == None`)
     /// or wrap up with the encoded [`RunOutcome`](sya_runtime::RunOutcome).
     Proceed { stop: Option<u8> },
@@ -255,10 +255,9 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
                 put_u32(&mut out, x);
             }
         }
-        Frame::EpochEnd { epoch, retired } => {
+        Frame::EpochEnd { epoch } => {
             out.push(TAG_EPOCH_END);
             put_u64(&mut out, *epoch);
-            out.push(u8::from(*retired));
         }
         Frame::Proceed { stop } => {
             out.push(TAG_PROCEED);
@@ -342,15 +341,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
                 Frame::Halo { epoch, phase, writes }
             }
         }
-        TAG_EPOCH_END => {
-            let epoch = rd.u64()?;
-            let retired = match rd.u8()? {
-                0 => false,
-                1 => true,
-                b => return Err(WireError::Corrupt(format!("bad retired flag {b}"))),
-            };
-            Frame::EpochEnd { epoch, retired }
-        }
+        TAG_EPOCH_END => Frame::EpochEnd { epoch: rd.u64()? },
         TAG_PROCEED => {
             let stop = match rd.u8()? {
                 0 => None,
@@ -464,8 +455,7 @@ mod tests {
             Frame::Publish { epoch: 7, phase: 2, writes: vec![(0, 1), (5, 0), (9, 1)] },
             Frame::Publish { epoch: 0, phase: 0, writes: vec![] },
             Frame::Halo { epoch: 7, phase: 2, writes: vec![(3, 1)] },
-            Frame::EpochEnd { epoch: 7, retired: true },
-            Frame::EpochEnd { epoch: 8, retired: false },
+            Frame::EpochEnd { epoch: 7 },
             Frame::Proceed { stop: None },
             Frame::Proceed { stop: Some(2) },
             Frame::Rollback,
@@ -510,31 +500,36 @@ mod tests {
 
     #[test]
     fn truncation_anywhere_is_corrupt_never_panic() {
-        let full = encode_frame(&Frame::Publish {
-            epoch: 3,
-            phase: 1,
-            writes: vec![(1, 1), (2, 0)],
-        });
-        for cut in 1..full.len() {
-            match read_frame(&mut &full[..cut]) {
-                Err(WireError::Corrupt(_)) => {}
-                other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
+        for frame in [
+            Frame::Publish { epoch: 3, phase: 1, writes: vec![(1, 1), (2, 0)] },
+            Frame::EpochEnd { epoch: 3 },
+        ] {
+            let full = encode_frame(&frame);
+            for cut in 1..full.len() {
+                match read_frame(&mut &full[..cut]) {
+                    Err(WireError::Corrupt(_)) => {}
+                    other => panic!("{frame:?} cut at {cut}: expected Corrupt, got {other:?}"),
+                }
             }
         }
     }
 
     #[test]
     fn any_single_bit_flip_is_rejected() {
-        let full = encode_frame(&Frame::Halo { epoch: 9, phase: 0, writes: vec![(7, 1)] });
-        for byte in 0..full.len() {
-            for bit in 0..8 {
-                let mut bad = full.clone();
-                bad[byte] ^= 1 << bit;
-                match read_frame(&mut &bad[..]) {
-                    Err(_) => {}
-                    Ok(frame) => panic!(
-                        "flip at byte {byte} bit {bit} was silently accepted as {frame:?}"
-                    ),
+        for frame in
+            [Frame::Halo { epoch: 9, phase: 0, writes: vec![(7, 1)] }, Frame::EpochEnd { epoch: 9 }]
+        {
+            let full = encode_frame(&frame);
+            for byte in 0..full.len() {
+                for bit in 0..8 {
+                    let mut bad = full.clone();
+                    bad[byte] ^= 1 << bit;
+                    match read_frame(&mut &bad[..]) {
+                        Err(_) => {}
+                        Ok(frame) => panic!(
+                            "flip at byte {byte} bit {bit} was silently accepted as {frame:?}"
+                        ),
+                    }
                 }
             }
         }
@@ -558,6 +553,16 @@ mod tests {
         }
         let mut payload = encode_payload(&Frame::Rollback);
         payload.push(0);
+        match decode_payload(&payload) {
+            Err(WireError::Corrupt(msg)) => assert!(msg.contains("trailing"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_epoch_end_with_the_old_retired_flag_is_corrupt() {
+        let mut payload = encode_payload(&Frame::EpochEnd { epoch: 7 });
+        payload.push(1);
         match decode_payload(&payload) {
             Err(WireError::Corrupt(msg)) => assert!(msg.contains("trailing"), "{msg}"),
             other => panic!("{other:?}"),

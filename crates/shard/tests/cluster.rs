@@ -11,11 +11,11 @@ use std::time::Duration;
 use sya_fg::{FactorGraph, SpatialFactor, VarId, Variable};
 use sya_geom::Point;
 use sya_ground::pyramid_cell_map;
-use sya_infer::{InferConfig, PyramidIndex};
+use sya_infer::{CheckpointOptions, InferConfig, PyramidIndex, SamplerRun};
 use sya_runtime::{Backoff, ExecContext, FaultPlan, RunOutcome};
 use sya_shard::{
-    run_cluster, run_sharded, ClusterConfig, ShardCkptOptions, ShardPlan, ShardRunReport,
-    ThreadLauncher,
+    run_cluster, run_in_process, ClusterConfig, ShardCkptOptions, ShardManifest, ShardPlan,
+    ShardRunReport, ThreadLauncher, MANIFEST_SCHEMA,
 };
 
 fn grid(n: usize) -> FactorGraph {
@@ -90,7 +90,6 @@ fn run_cluster_with(
         plan: plan.clone(),
         cfg: cfg.clone(),
         ckpt: ckpt.clone(),
-        retire: None,
         faults,
         read_timeout: Duration::from_secs(10),
     };
@@ -98,18 +97,10 @@ fn run_cluster_with(
         .expect("cluster run")
 }
 
-fn reference_counts(graph: &FactorGraph, plan: &ShardPlan, cfg: &InferConfig) -> ShardRunReport {
+fn reference_counts(graph: &FactorGraph, plan: &ShardPlan, cfg: &InferConfig) -> SamplerRun {
     let pyramid = PyramidIndex::build(graph, cfg.levels, cfg.cell_capacity);
-    run_sharded(
-        graph,
-        &pyramid,
-        plan,
-        cfg,
-        None,
-        &ShardCkptOptions::default(),
-        &ExecContext::unbounded(),
-    )
-    .expect("in-process reference run")
+    let (ctx, ckpt) = (ExecContext::unbounded(), CheckpointOptions::none());
+    run_in_process(graph, &pyramid, plan, cfg, &ctx, ckpt, None).expect("in-process reference run")
 }
 
 #[test]
@@ -160,6 +151,12 @@ fn killed_worker_is_restarted_from_checkpoint_and_counts_stay_bit_identical() {
         "replay from the rendezvous checkpoint must be bit-identical to an \
          uninterrupted run"
     );
+    // The per-shard stores are tied together by the coordinator's manifest.
+    let manifest = ShardManifest::read(&dir).expect("the coordinator writes a manifest");
+    assert_eq!((manifest.schema.as_str(), manifest.shards), (MANIFEST_SCHEMA, 2));
+    for name in &manifest.stores {
+        assert!(dir.join(name).read_dir().unwrap().count() > 0, "store {name} is empty");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -290,7 +287,6 @@ fn status_board_fleet_metrics_match_the_per_shard_reports() {
         plan: plan.clone(),
         cfg: cfg.clone(),
         ckpt: ShardCkptOptions::default(),
-        retire: None,
         faults: FaultPlan::none(),
         read_timeout: Duration::from_secs(10),
     };

@@ -3,9 +3,9 @@
 //! Bitwise guarantees over randomized small knowledge bases, across
 //! shard counts and partition levels:
 //!
-//! 1. `run_sharded` at any shard count reproduces the 1-shard counts
+//! 1. `run_in_process` at any shard count reproduces the 1-shard counts
 //!    exactly — the determinism the `--shards` flag advertises.
-//! 2. `run_sharded` reproduces the unsharded single-instance
+//! 2. `run_in_process` reproduces the unsharded single-instance
 //!    `spatial_gibbs_with` exactly — a shard is an ownership filter over
 //!    the same kernel and schedule, so whatever the exact-oracle suite
 //!    (`crates/infer/tests/oracle.rs`) establishes for the unsharded
@@ -17,9 +17,9 @@ use rand::{Rng, SeedableRng};
 use sya_fg::{Factor, FactorGraph, FactorKind, SpatialFactor, VarId, Variable};
 use sya_geom::Point;
 use sya_ground::pyramid_cell_map;
-use sya_infer::{spatial_gibbs_with, InferConfig, PyramidIndex};
+use sya_infer::{spatial_gibbs_with, CheckpointOptions, InferConfig, PyramidIndex, SamplerRun};
 use sya_runtime::ExecContext;
-use sya_shard::{run_sharded, ShardCkptOptions, ShardPlan, ShardRunReport};
+use sya_shard::{run_in_process, ShardPlan};
 
 /// A small random KB: mostly-located binary atoms on a chain of spatial
 /// factors plus a few random logical couplings; sometimes evidence.
@@ -69,20 +69,12 @@ fn infer_cfg(epochs: usize, seed: u64) -> InferConfig {
     }
 }
 
-fn run(g: &FactorGraph, cfg: &InferConfig, shards: usize, level: u8) -> ShardRunReport {
+fn run(g: &FactorGraph, cfg: &InferConfig, shards: usize, level: u8) -> SamplerRun {
     let pyramid = PyramidIndex::build(g, cfg.levels, cfg.cell_capacity);
     let cells = pyramid_cell_map(g, level);
     let plan = ShardPlan::build(g, &cells, shards, level);
-    run_sharded(
-        g,
-        &pyramid,
-        &plan,
-        cfg,
-        None,
-        &ShardCkptOptions::default(),
-        &ExecContext::unbounded(),
-    )
-    .unwrap()
+    let (ctx, ckpt) = (ExecContext::unbounded(), CheckpointOptions::none());
+    run_in_process(g, &pyramid, &plan, cfg, &ctx, ckpt, None).unwrap()
 }
 
 proptest! {
@@ -105,16 +97,6 @@ proptest! {
             "shards={} level={} seed={} diverged from the 1-shard run",
             shards, level, seed
         );
-        // Ownership classes partition the samples: per-shard counts
-        // merge back to the total.
-        let mut merged = reference.per_shard_counts[0].clone();
-        let mut empty = true;
-        for (i, c) in sharded.per_shard_counts.iter().enumerate() {
-            if i == 0 { merged = c.clone(); } else { merged.merge(c); }
-            empty = false;
-        }
-        prop_assert!(!empty);
-        prop_assert_eq!(&merged, &sharded.counts);
     }
 }
 

@@ -28,7 +28,7 @@ fn build_frame(
         1 => Frame::Welcome { start_epoch: a, epochs_total: b, run_id: a ^ b },
         2 => Frame::Publish { epoch: a, phase: small % 32, writes },
         3 => Frame::Halo { epoch: a, phase: small % 32, writes },
-        4 => Frame::EpochEnd { epoch: a, retired: flag },
+        4 => Frame::EpochEnd { epoch: a },
         5 => Frame::Proceed { stop: flag.then_some((b % 256) as u8) },
         6 => Frame::Rollback,
         7 => Frame::ShardLost { shard: small % 64 },

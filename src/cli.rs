@@ -36,17 +36,11 @@
 //!                             are skipped for older good ones
 //!   --workers N               thread cap for the sampler's lanes (the
 //!                             scores never depend on it)
-//!   --shards N                cut the KB into N spatial shards, one
-//!                             sampler thread each (sya engine only);
-//!                             merged scores match --shards 1 exactly
+//!   --shards N                cut the KB into N spatial shards, each
+//!                             sweeping its own cells (sya engine
+//!                             only); scores match --shards 1 exactly
 //!   --partition-level L       pyramid level of the shard cut
 //!                             [default: 4]
-//!   --retire-tol T            let a converged shard retire early once
-//!                             its epoch delta stays under T (trades
-//!                             bit-parity with --shards 1 for wall time)
-//!   --retire-tol-strict       refuse retirement while boundary-exposed
-//!                             marginals have drifted past the tolerance
-//!                             (requires --retire-tol)
 //!   --max-factors N           abort grounding past N ground factors
 //!   --max-vars N              abort grounding past N ground variables
 //!   --max-memory-mb N         abort grounding past N MiB (estimated)
@@ -209,8 +203,6 @@ struct Options {
     workers: Option<usize>,
     shards: usize,
     partition_level: Option<u8>,
-    retire_tol: Option<f64>,
-    retire_strict: bool,
     cluster_listen: String,
     restart_budget: usize,
     heartbeat_ms: u64,
@@ -262,8 +254,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         workers: None,
         shards: 0,
         partition_level: None,
-        retire_tol: None,
-        retire_strict: false,
         cluster_listen: "127.0.0.1:0".to_owned(),
         restart_budget: 2,
         heartbeat_ms: 2000,
@@ -456,16 +446,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                         .map_err(|e| format!("bad --partition-level: {e}"))?,
                 )
             }
-            "--retire-tol" => {
-                let tol: f64 = value("--retire-tol")?
-                    .parse()
-                    .map_err(|e| format!("bad --retire-tol: {e}"))?;
-                if !tol.is_finite() || tol <= 0.0 {
-                    return Err(format!("bad --retire-tol: {tol} (want a tolerance > 0)"));
-                }
-                opts.retire_tol = Some(tol);
-            }
-            "--retire-tol-strict" => opts.retire_strict = true,
             "--cluster-listen" => opts.cluster_listen = value("--cluster-listen")?,
             "--restart-budget" => {
                 opts.restart_budget = value("--restart-budget")?
@@ -543,9 +523,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     }
     if opts.refresh_checkpoint_every.is_some() && opts.checkpoint_dir.is_none() {
         return Err("--refresh-checkpoint-every requires --checkpoint-dir".to_owned());
-    }
-    if opts.retire_strict && opts.retire_tol.is_none() {
-        return Err("--retire-tol-strict requires --retire-tol".to_owned());
     }
     if opts.status_linger && opts.status_listen.is_none() {
         return Err("--status-linger requires --status-listen".to_owned());
@@ -819,9 +796,6 @@ fn config_from_opts(opts: &Options) -> SyaConfig {
     }
     if let Some(level) = opts.partition_level {
         config = config.with_partition_level(level);
-    }
-    if let Some(tol) = opts.retire_tol {
-        config = config.with_retire_tol(tol).with_retire_strict(opts.retire_strict);
     }
     config
 }
@@ -1212,12 +1186,6 @@ fn worker_args(opts: &Options) -> Vec<String> {
     if let Some(dir) = &opts.checkpoint_dir {
         a.extend(["--checkpoint-dir".to_owned(), dir.clone()]);
         a.extend(["--checkpoint-every".to_owned(), opts.checkpoint_every.to_string()]);
-    }
-    if let Some(tol) = opts.retire_tol {
-        a.extend(["--retire-tol".to_owned(), tol.to_string()]);
-        if opts.retire_strict {
-            a.push("--retire-tol-strict".to_owned());
-        }
     }
     a.extend(["--heartbeat-ms".to_owned(), opts.heartbeat_ms.to_string()]);
     // Profiling is forwarded: per-site timings ride each worker's

@@ -11,7 +11,7 @@ use sya_fg::{Factor, FactorGraph, FactorKind, SpatialFactor, Variable};
 use sya_geom::Point;
 use sya_infer::{
     run_gibbs, ChainState, CheckpointOptions, CheckpointSink, CheckpointState, InferConfig,
-    PyramidIndex, SamplerRun, Schedule,
+    Owners, PyramidIndex, SamplerRun, Schedule,
 };
 use sya_runtime::{CancellationToken, ExecContext, FaultPlan, RunBudget, RunOutcome};
 
@@ -39,7 +39,7 @@ fn run(
     ckpt: CheckpointOptions<'_>,
     resume: Option<Vec<ChainState>>,
 ) -> SamplerRun {
-    run_gibbs(graph, schedule, cfg, None, ctx, ckpt, resume).unwrap()
+    run_gibbs(graph, schedule, cfg, None, ctx, ckpt, resume, Owners::RoundRobin).unwrap()
 }
 
 /// The newest valid checkpoint's chains, checked to come from `kind`.

@@ -160,9 +160,7 @@ fn cluster_subcommands_validate_their_flags() {
             &["shard-worker", &program, "--shard", "0", "--connect", "127.0.0.1:1"],
             "--shards",
         ),
-        (&["run", &program, "--retire-tol-strict"], "--retire-tol"),
         (&["run", &program, "--status-linger"], "--status-listen"),
-        (&["run", &program, "--retire-tol", "-1"], "want a tolerance > 0"),
     ];
     for (args, needle) in cases {
         let (code, _, err) = sya(args);
