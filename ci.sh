@@ -10,7 +10,7 @@ cd "$(dirname "$0")"
 
 cargo build --workspace --release
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Criterion benches compile against the crates' public API; build them
 # so an API change cannot leave them broken.
 cargo bench --workspace --no-run --offline
@@ -438,32 +438,37 @@ echo "lazy serve smoke: lazy mode served, cache hit recorded, shutdown clean"
 # demo's well 0 (new ground atom born, epoch bumped, conclique
 # re-sampled, delta.* counters on /metrics), then retract it (atom
 # buried, neighbor's marginal back to baseline within sampler
-# tolerance) — live maintenance, never a full re-ground.
+# tolerance) — live maintenance, never a full re-ground. It runs twice:
+# unsharded and at --shards 2, which only shapes construction and then
+# serves the same one live KB.
 rows_log=/tmp/sya_ci_rows_serve.log
-rm -f "$rows_log"
-./target/release/sya serve demo/gwdb.ddlog \
-    --table Well=demo/wells.csv --evidence demo/evidence.csv \
-    --epochs 200 --listen 127.0.0.1:0 --serve-workers 2 > "$rows_log" &
-server=$!
-addr=""
-for _ in $(seq 1 3000); do
-    addr=$(sed -n 's|^serving on http://||p' "$rows_log")
-    if [ -n "$addr" ]; then break; fi
-    if ! kill -0 "$server" 2> /dev/null; then break; fi
-    sleep 0.01
+for shard_flags in "" "--shards 2"; do
+    rm -f "$rows_log"
+    # shellcheck disable=SC2086 # word-split the optional shard flags
+    ./target/release/sya serve demo/gwdb.ddlog \
+        --table Well=demo/wells.csv --evidence demo/evidence.csv \
+        --epochs 200 --listen 127.0.0.1:0 --serve-workers 2 $shard_flags > "$rows_log" &
+    server=$!
+    addr=""
+    for _ in $(seq 1 3000); do
+        addr=$(sed -n 's|^serving on http://||p' "$rows_log")
+        if [ -n "$addr" ]; then break; fi
+        if ! kill -0 "$server" 2> /dev/null; then break; fi
+        sleep 0.01
+    done
+    if [ -z "$addr" ]; then
+        echo "delta rows smoke (${shard_flags:-unsharded}): server never reported its address" >&2
+        cat "$rows_log" >&2
+        exit 1
+    fi
+    ./target/release/serve_rows_smoke "$addr" IsSafe 0
+    kill -TERM "$server"
+    if ! wait "$server"; then
+        echo "delta rows smoke (${shard_flags:-unsharded}): server did not shut down cleanly on SIGTERM" >&2
+        exit 1
+    fi
+    echo "delta rows smoke (${shard_flags:-unsharded}): insert/retract round trip restored baseline marginals"
 done
-if [ -z "$addr" ]; then
-    echo "delta rows smoke: server never reported its address" >&2
-    cat "$rows_log" >&2
-    exit 1
-fi
-./target/release/serve_rows_smoke "$addr" IsSafe 0
-kill -TERM "$server"
-if ! wait "$server"; then
-    echo "delta rows smoke: server did not shut down cleanly on SIGTERM" >&2
-    exit 1
-fi
-echo "delta rows smoke: insert/retract round trip restored baseline marginals"
 
 # Delta throughput sweep (DESIGN.md §17): a reduced sweep of the
 # differential-maintenance bench must produce a valid sya.bench.delta.v1

@@ -24,7 +24,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use sya_obs::{Obs, Severity};
@@ -334,186 +334,6 @@ fn splitmix64(mut z: u64) -> u64 {
 impl Default for Backoff {
     fn default() -> Self {
         Backoff { base: Duration::from_millis(250), max: Duration::from_secs(10) }
-    }
-}
-
-// ----------------------------------------------------------- breaker
-
-/// Where a [`Breaker`] currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: requests flow, consecutive failures are counted.
-    Closed,
-    /// Tripped: requests fast-fail until the backoff window elapses.
-    Open,
-    /// One probe request is in flight; its outcome decides the state.
-    HalfOpen,
-}
-
-/// How long a half-open probe may stay unreported before the breaker
-/// assumes its holder died (panicked worker, dropped connection) and
-/// leases the probe to the next caller. Without this backstop a probe
-/// that never reports back would wedge the breaker half-open forever:
-/// [`Breaker::allow`] admits nothing in that state.
-const DEFAULT_PROBE_LEASE: Duration = Duration::from_secs(30);
-
-/// A consecutive-failure circuit breaker (closed → open → half-open →
-/// closed) whose open window reuses [`Backoff`]: each consecutive trip
-/// waits exponentially longer before the next probe. The serving
-/// router fronts every shard with one of these so a sick shard
-/// fast-fails with 503 instead of holding worker threads hostage.
-///
-/// All transitions are serialized under one mutex; the breaker is
-/// shared by reference across request workers.
-#[derive(Debug)]
-pub struct Breaker {
-    /// Consecutive failures that trip the breaker open.
-    threshold: u32,
-    /// Open-window schedule: trip `n` waits `backoff.delay(n - 1)`.
-    backoff: Backoff,
-    /// Half-open probe lease: an unreported probe older than this is
-    /// abandoned and the next caller becomes the probe.
-    probe_lease: Duration,
-    inner: Mutex<BreakerInner>,
-}
-
-#[derive(Debug)]
-struct BreakerInner {
-    state: BreakerState,
-    consecutive_failures: u32,
-    opened_at: Option<Instant>,
-    /// When the current half-open probe was leased out; `None` outside
-    /// half-open.
-    probe_started: Option<Instant>,
-    /// Consecutive trips without an intervening success — indexes the
-    /// backoff schedule.
-    trips: u32,
-}
-
-impl Breaker {
-    /// A breaker that opens after `threshold` consecutive failures
-    /// (clamped to at least 1) and probes on the `backoff` schedule.
-    pub fn new(threshold: u32, backoff: Backoff) -> Self {
-        Breaker {
-            threshold: threshold.max(1),
-            backoff,
-            probe_lease: DEFAULT_PROBE_LEASE,
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                opened_at: None,
-                probe_started: None,
-                trips: 0,
-            }),
-        }
-    }
-
-    /// Overrides the half-open probe lease (tests use `Duration::ZERO`
-    /// to exercise the abandoned-probe takeover without sleeping).
-    pub fn with_probe_lease(mut self, lease: Duration) -> Self {
-        self.probe_lease = lease;
-        self
-    }
-
-    /// Whether a request may proceed. Closed always admits; open admits
-    /// nothing until its backoff window elapses, then converts exactly
-    /// one caller into the half-open probe; half-open admits nothing
-    /// more until the probe reports back — unless the probe's lease has
-    /// expired, in which case the probe is presumed dead and this
-    /// caller takes over the lease.
-    pub fn allow(&self) -> bool {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match g.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => {
-                if g.probe_started.is_none_or(|at| at.elapsed() >= self.probe_lease) {
-                    g.probe_started = Some(Instant::now());
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::Open => {
-                let wait = self.backoff.delay(g.trips.saturating_sub(1));
-                if g.opened_at.is_none_or(|at| at.elapsed() >= wait) {
-                    g.state = BreakerState::HalfOpen;
-                    g.probe_started = Some(Instant::now());
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Non-consuming peek: would [`allow`](Self::allow) admit a request
-    /// right now? Never transitions the breaker and never leases the
-    /// half-open probe, so callers that only want to *gate* on breaker
-    /// health (the router's read path, an all-or-nothing batch
-    /// pre-check) cannot strand a probe they will never report on.
-    pub fn would_allow(&self) -> bool {
-        let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match g.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => {
-                g.probe_started.is_none_or(|at| at.elapsed() >= self.probe_lease)
-            }
-            BreakerState::Open => {
-                let wait = self.backoff.delay(g.trips.saturating_sub(1));
-                g.opened_at.is_none_or(|at| at.elapsed() >= wait)
-            }
-        }
-    }
-
-    /// Report a successful request: resets the failure streak; a
-    /// half-open probe success closes the breaker.
-    pub fn on_success(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        g.consecutive_failures = 0;
-        g.trips = 0;
-        if g.state == BreakerState::HalfOpen {
-            g.state = BreakerState::Closed;
-            g.opened_at = None;
-            g.probe_started = None;
-        }
-    }
-
-    /// Report a failed request: extends the streak, trips the breaker
-    /// at the threshold, and re-opens (with a longer window) on a
-    /// failed half-open probe.
-    pub fn on_failure(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match g.state {
-            BreakerState::Closed => {
-                g.consecutive_failures += 1;
-                if g.consecutive_failures >= self.threshold {
-                    g.state = BreakerState::Open;
-                    g.opened_at = Some(Instant::now());
-                    g.trips = g.trips.saturating_add(1);
-                }
-            }
-            BreakerState::HalfOpen => {
-                g.state = BreakerState::Open;
-                g.opened_at = Some(Instant::now());
-                g.probe_started = None;
-                g.trips = g.trips.saturating_add(1);
-            }
-            // Already open: the failure is a straggler from before the
-            // trip; the window is not extended.
-            BreakerState::Open => {}
-        }
-    }
-
-    pub fn state(&self) -> BreakerState {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).state
-    }
-
-    /// Current consecutive-failure streak (0 once tripped or reset).
-    pub fn consecutive_failures(&self) -> u32 {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .consecutive_failures
     }
 }
 
@@ -977,95 +797,6 @@ mod tests {
         }
         // Deterministic: same (attempt, seed) → same delay.
         assert_eq!(b.delay_jittered(3, 7), b.delay_jittered(3, 7));
-    }
-
-    #[test]
-    fn breaker_trips_probes_and_closes() {
-        // Zero-base backoff: the open window elapses immediately, so the
-        // transition script needs no sleeps.
-        let br = Breaker::new(3, Backoff::new(Duration::ZERO, Duration::ZERO));
-        assert_eq!(br.state(), BreakerState::Closed);
-        assert!(br.allow());
-
-        br.on_failure();
-        br.on_failure();
-        assert_eq!(br.state(), BreakerState::Closed, "below threshold stays closed");
-        assert_eq!(br.consecutive_failures(), 2);
-        br.on_failure();
-        assert_eq!(br.state(), BreakerState::Open, "threshold trips the breaker");
-
-        // Window elapsed (zero backoff): exactly one caller becomes the probe.
-        assert!(br.allow(), "first caller after the window gets the probe");
-        assert_eq!(br.state(), BreakerState::HalfOpen);
-        assert!(!br.allow(), "no second probe while one is in flight");
-
-        br.on_success();
-        assert_eq!(br.state(), BreakerState::Closed, "probe success closes");
-        assert!(br.allow());
-    }
-
-    #[test]
-    fn breaker_abandoned_probe_lease_expires_and_releases() {
-        // A probe holder that never reports back (panicked worker)
-        // must not wedge the breaker half-open: once the lease
-        // expires, the next caller takes the probe over. Zero lease
-        // makes expiry immediate so the test needs no sleeping.
-        let br = Breaker::new(1, Backoff::new(Duration::ZERO, Duration::ZERO))
-            .with_probe_lease(Duration::ZERO);
-        br.on_failure();
-        assert!(br.allow(), "first caller leases the probe");
-        assert_eq!(br.state(), BreakerState::HalfOpen);
-        assert!(br.allow(), "expired lease: next caller takes over");
-        assert_eq!(br.state(), BreakerState::HalfOpen);
-        br.on_success();
-        assert_eq!(br.state(), BreakerState::Closed);
-
-        // Default lease: an in-flight probe still blocks other callers.
-        let br = Breaker::new(1, Backoff::new(Duration::ZERO, Duration::ZERO));
-        br.on_failure();
-        assert!(br.allow());
-        assert!(!br.allow(), "live lease admits no second probe");
-    }
-
-    #[test]
-    fn breaker_would_allow_peeks_without_consuming_the_probe() {
-        let br = Breaker::new(1, Backoff::new(Duration::ZERO, Duration::ZERO));
-        assert!(br.would_allow(), "closed admits");
-        br.on_failure();
-        assert_eq!(br.state(), BreakerState::Open);
-        // Elapsed open window: a peek says yes but leases nothing.
-        assert!(br.would_allow());
-        assert!(br.would_allow());
-        assert_eq!(br.state(), BreakerState::Open, "peeking never transitions");
-        // A real caller still gets the probe; while it is in flight the
-        // peek turns pessimistic with everyone else.
-        assert!(br.allow());
-        assert_eq!(br.state(), BreakerState::HalfOpen);
-        assert!(!br.would_allow(), "live probe: peek says wait");
-
-        let br = Breaker::new(1, Backoff::new(Duration::from_secs(60), Duration::from_secs(60)));
-        br.on_failure();
-        assert!(!br.would_allow(), "window not elapsed: peek says no");
-    }
-
-    #[test]
-    fn breaker_failed_probe_reopens_with_longer_window() {
-        let br = Breaker::new(1, Backoff::new(Duration::from_secs(60), Duration::from_secs(60)));
-        br.on_failure();
-        assert_eq!(br.state(), BreakerState::Open);
-        // 60 s window has not elapsed: fast-fail, no probe.
-        assert!(!br.allow());
-        assert_eq!(br.state(), BreakerState::Open);
-
-        let br = Breaker::new(1, Backoff::new(Duration::ZERO, Duration::ZERO));
-        br.on_failure();
-        assert!(br.allow(), "probe granted");
-        br.on_failure();
-        assert_eq!(br.state(), BreakerState::Open, "failed probe reopens");
-        assert!(br.allow(), "zero backoff: next probe granted again");
-        br.on_success();
-        assert_eq!(br.state(), BreakerState::Closed);
-        assert_eq!(br.consecutive_failures(), 0);
     }
 
     #[test]

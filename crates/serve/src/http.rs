@@ -181,8 +181,8 @@ pub struct Response {
     pub content_type: &'static str,
     pub body: Vec<u8>,
     /// Emits a `Retry-After: <seconds>` header — set on 503s for
-    /// transient conditions (a down shard, an aborted request) so
-    /// well-behaved clients back off instead of hammering.
+    /// transient conditions (a shed request, an exhausted lazy query
+    /// budget) so well-behaved clients back off instead of hammering.
     pub retry_after: Option<u64>,
 }
 
@@ -224,7 +224,6 @@ impl Response {
             408 => "Request Timeout",
             413 => "Payload Too Large",
             500 => "Internal Server Error",
-            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -347,7 +346,7 @@ mod tests {
     fn retry_after_header_is_emitted_on_demand() {
         let (mut server, mut client) = socket_pair();
         client.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        Response::error(503, "shard 1 is down")
+        Response::error(503, "query budget exhausted")
             .with_retry_after(5)
             .write_to(&mut server)
             .unwrap();
@@ -356,7 +355,7 @@ mod tests {
         client.read_to_string(&mut text).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
         assert!(text.contains("\r\nRetry-After: 5\r\n"), "{text}");
-        assert!(text.contains("shard 1 is down"), "{text}");
+        assert!(text.contains("query budget exhausted"), "{text}");
 
         // And stays absent when not requested.
         let (mut server, mut client) = socket_pair();

@@ -620,6 +620,5 @@ fn to_marginal(answer: &QueryAnswer, epoch: u64) -> MarginalAnswer {
         score: answer.score,
         evidence: answer.evidence,
         epoch,
-        shard: None,
     }
 }

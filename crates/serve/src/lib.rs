@@ -13,6 +13,7 @@
 //! | `/v1/marginal/{relation}?args=` | GET    | point marginal lookup                    |
 //! | `/v1/query`                     | POST   | batch marginal queries (JSON body)       |
 //! | `/v1/evidence`                  | POST   | append evidence → incremental re-infer   |
+//! | `/v1/rows`                      | POST   | insert/retract base rows → delta ground  |
 //! | `/metrics`                      | GET    | Prometheus text exposition               |
 //! | `/healthz`                      | GET    | readiness + KB epoch + checkpoint age    |
 //!
@@ -25,7 +26,6 @@
 pub mod admission;
 mod http;
 mod lazy;
-mod router;
 mod rows;
 mod server;
 mod state;
@@ -33,10 +33,9 @@ mod state;
 pub use admission::{Admission, AdmissionConfig, InflightGuard, Shed, Ticket};
 pub use http::{json_string, read_request, HttpError, Request, Response};
 pub use lazy::{LazyConfig, LazyKb};
-pub use router::{ServeState, ShardRouter};
 pub use rows::{RawRowUpdate, RowsOutcome};
 pub use server::SyaServer;
-pub use state::{EvidenceOutcome, EvidenceUpdate, MarginalAnswer, ServingKb};
+pub use state::{EvidenceOutcome, EvidenceUpdate, MarginalAnswer, ServeState, ServingKb};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -105,19 +104,9 @@ pub enum ServeError {
     BadEvidence(String),
     /// A `/v1/rows` batch failed decoding or validation (client error).
     BadRows(String),
-    /// `/v1/rows` is not available in this serving mode (sharded
-    /// replicas have no single mutable database) → 501.
-    RowsUnsupported { mode: &'static str },
     /// A validated row batch failed mid-apply (grounding or inference
     /// error) — a server-side 500, not a retryable condition.
     RowsFailed(String),
-    /// The shard owning the requested atom is marked down: the request
-    /// is answerable again once the shard recovers → 503 + Retry-After.
-    ShardDown { shard: usize },
-    /// The shard's circuit breaker is open after consecutive failures:
-    /// fast-fail with 503 + Retry-After instead of letting a sick shard
-    /// hold worker threads hostage.
-    BreakerOpen { shard: usize },
     /// Saving or opening the checkpoint store failed.
     Checkpoint(String),
     /// A lazy-mode demand grounding exhausted its per-request
@@ -143,16 +132,7 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::BadEvidence(msg) => write!(f, "bad evidence: {msg}"),
             ServeError::BadRows(msg) => write!(f, "bad row batch: {msg}"),
-            ServeError::RowsUnsupported { mode } => {
-                write!(f, "row updates are not supported in {mode} serving mode")
-            }
             ServeError::RowsFailed(msg) => write!(f, "row apply failed: {msg}"),
-            ServeError::ShardDown { shard } => {
-                write!(f, "shard {shard} is down; retry after it recovers")
-            }
-            ServeError::BreakerOpen { shard } => {
-                write!(f, "shard {shard} breaker is open; fast-failing while it recovers")
-            }
             ServeError::Checkpoint(msg) => write!(f, "checkpoint failure: {msg}"),
             ServeError::QueryBudget(msg) => {
                 write!(f, "query budget exhausted: {msg}; retry with a looser budget")

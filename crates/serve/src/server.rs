@@ -16,8 +16,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, Shed};
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::router::ServeState;
-use crate::state::EvidenceUpdate;
+use crate::state::{EvidenceUpdate, ServeState};
 use crate::{ServeConfig, ServeError};
 use serde_json::Value as Json;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -493,26 +492,16 @@ fn healthz(state: &Arc<ServeState>) -> Response {
         Some(age) => format!("{:.3}", age.as_secs_f64()),
         None => "null".to_owned(),
     };
-    let down = state.down_shards();
-    let breakers = state.open_breakers();
-    let status = if down.is_empty() && breakers.is_empty() { "ok" } else { "degraded" };
-    let down_json: Vec<String> = down.iter().map(usize::to_string).collect();
-    let breakers_json: Vec<String> = breakers.iter().map(usize::to_string).collect();
     Response::json(
         200,
         format!(
-            "{{\"status\":\"{}\",\"mode\":\"{}\",\"epoch\":{},\"variables\":{},\
+            "{{\"status\":\"ok\",\"mode\":\"{}\",\"epoch\":{},\"variables\":{},\
              \"outcome\":{},\
-             \"shards\":{},\"shards_down\":[{}],\"breakers_open\":[{}],\
              \"uptime_seconds\":{:.3},\"checkpoint_age_seconds\":{}}}",
-            status,
             state.mode(),
             state.epoch(),
             variables,
             crate::http::json_string(&outcome),
-            state.shard_count(),
-            down_json.join(","),
-            breakers_json.join(","),
             state.uptime().as_secs_f64(),
             age,
         ),
@@ -525,19 +514,13 @@ fn marginal_json(m: &crate::state::MarginalAnswer) -> String {
         Some(e) => e.to_string(),
         None => "null".to_owned(),
     };
-    let shard = match m.shard {
-        Some(s) => s.to_string(),
-        None => "null".to_owned(),
-    };
     format!(
-        "{{\"relation\":{},\"id\":{},\"score\":{:.6},\"evidence\":{},\"epoch\":{},\
-         \"shard\":{}}}",
+        "{{\"relation\":{},\"id\":{},\"score\":{:.6},\"evidence\":{},\"epoch\":{}}}",
         crate::http::json_string(&m.relation),
         m.id,
         m.score,
         evidence,
         m.epoch,
-        shard,
     )
 }
 
@@ -561,9 +544,9 @@ fn marginal(
     }
 }
 
-/// Maps a read-path serving failure onto the wire: transient conditions
-/// (down shard, open breaker, exhausted lazy query budget) are 503 +
-/// `Retry-After`; a lazy query that failed outright is a plain 500.
+/// Maps a read-path serving failure onto the wire: an exhausted lazy
+/// query budget is transient, so 503 + `Retry-After`; a lazy query that
+/// failed outright is a plain 500.
 fn read_failure_response(e: &ServeError) -> Response {
     match e {
         ServeError::QueryFailed(_) => Response::error(500, &e.to_string()),
@@ -571,7 +554,8 @@ fn read_failure_response(e: &ServeError) -> Response {
     }
 }
 
-/// What a 503 for a down shard advises clients to wait before retrying.
+/// What a 503 for an exhausted query budget advises clients to wait
+/// before retrying.
 const RETRY_AFTER_SECONDS: u64 = 5;
 
 /// `POST /v1/query` — batch marginal lookup. Body:
@@ -691,7 +675,6 @@ fn rows(state: &Arc<ServeState>, req: &Request) -> Response {
             ),
         ),
         Err(ServeError::BadRows(msg)) => Response::error(400, &msg),
-        Err(e @ ServeError::RowsUnsupported { .. }) => Response::error(501, &e.to_string()),
         Err(e @ ServeError::RowsFailed(_)) => Response::error(500, &e.to_string()),
         Err(e) => Response::error(503, &e.to_string()),
     }
@@ -746,9 +729,6 @@ fn evidence(state: &Arc<ServeState>, req: &Request) -> Response {
             ),
         ),
         Err(ServeError::BadEvidence(msg)) => Response::error(400, &msg),
-        Err(e @ (ServeError::ShardDown { .. } | ServeError::BreakerOpen { .. })) => {
-            read_failure_response(&e)
-        }
         Err(e) => Response::error(503, &e.to_string()),
     }
 }

@@ -6,6 +6,7 @@
 //! clients' point of view, since no reader can observe the KB between
 //! the merge and the epoch increment.
 
+use crate::lazy::LazyKb;
 use crate::rows::{RawRowUpdate, RowsOutcome};
 use crate::ServeError;
 use std::collections::{HashMap, HashSet};
@@ -16,6 +17,7 @@ use std::time::{Duration, Instant};
 use sya_core::{KnowledgeBase, SyaSession};
 use sya_infer::{ChainState, CheckpointState};
 use sya_obs::Obs;
+use sya_runtime::{ExecContext, RunBudget};
 use sya_store::{Database, Value};
 
 /// One evidence change submitted over the wire. `value: None` retracts
@@ -47,14 +49,12 @@ pub struct MarginalAnswer {
     pub evidence: Option<u32>,
     /// KB epoch the score was read at.
     pub epoch: u64,
-    /// The shard that answered, when serving through the shard router.
-    pub shard: Option<u32>,
 }
 
-/// The mutable ingestion inputs a live (`/v1/rows`-capable) server
-/// retains: the loaded base tables and the CLI-loaded evidence map the
-/// KB was constructed from. One mutex for both — a row batch mutates
-/// the tables and re-grounds against the evidence together.
+/// The mutable ingestion inputs the live server retains: the loaded
+/// base tables and the CLI-loaded evidence map the KB was constructed
+/// from. One mutex for both — a row batch mutates the tables and
+/// re-grounds against the evidence together.
 struct LiveInputs {
     db: Database,
     evidence: HashMap<(String, i64), u32>,
@@ -70,10 +70,8 @@ pub struct ServingKb {
     /// Readers must drop this lock before taking `kb` (row applies
     /// lock `kb` first, then this).
     atoms: RwLock<HashMap<(String, i64), u32>>,
-    /// `Some` when built via [`Self::with_live`]: the inputs `/v1/rows`
-    /// batches mutate. `None` replicas (sharded mode, embedders without
-    /// the tables) answer 501 for row updates.
-    live: Option<Mutex<LiveInputs>>,
+    /// The inputs `/v1/rows` batches mutate.
+    live: Mutex<LiveInputs>,
     obs: Obs,
     started: Instant,
     ckpt: Option<sya_ckpt::CheckpointStore>,
@@ -97,11 +95,21 @@ fn atom_index(kb: &KnowledgeBase) -> HashMap<(String, i64), u32> {
 }
 
 impl ServingKb {
-    /// Wraps a constructed knowledge base for serving. Requires the
-    /// spatial sampler (the pyramid index is the incremental-update
-    /// structure). When the KB was built with a checkpoint directory,
-    /// the same directory receives the serve-time background snapshots.
-    pub fn new(session: SyaSession, kb: KnowledgeBase, obs: Obs) -> Result<Self, ServeError> {
+    /// Wraps a constructed knowledge base for serving, retaining the
+    /// base tables and evidence map it was constructed from so `POST
+    /// /v1/rows` absorbs inserted and retracted rows differentially
+    /// (`sya-delta`) instead of requiring a restart-and-reground.
+    /// Requires the spatial sampler (the pyramid index is the
+    /// incremental-update structure). When the KB was built with a
+    /// checkpoint directory, the same directory receives the serve-time
+    /// background snapshots.
+    pub fn with_live(
+        session: SyaSession,
+        kb: KnowledgeBase,
+        db: Database,
+        evidence: HashMap<(String, i64), u32>,
+        obs: Obs,
+    ) -> Result<Self, ServeError> {
         if kb.pyramid.is_none() {
             return Err(ServeError::NotSpatial);
         }
@@ -118,29 +126,13 @@ impl ServingKb {
             kb: RwLock::new(kb),
             epoch: AtomicU64::new(0),
             atoms: RwLock::new(atoms),
-            live: None,
+            live: Mutex::new(LiveInputs { db, evidence }),
             obs,
             started: Instant::now(),
             ckpt,
             last_checkpoint: Mutex::new(None),
             last_saved_epoch: AtomicU64::new(u64::MAX),
         })
-    }
-
-    /// Like [`Self::new`], but retains the base tables and evidence map
-    /// the KB was constructed from, enabling `POST /v1/rows`: inserted
-    /// and retracted rows are absorbed differentially (`sya-delta`)
-    /// instead of requiring a restart-and-reground.
-    pub fn with_live(
-        session: SyaSession,
-        kb: KnowledgeBase,
-        db: Database,
-        evidence: HashMap<(String, i64), u32>,
-        obs: Obs,
-    ) -> Result<Self, ServeError> {
-        let mut state = Self::new(session, kb, obs)?;
-        state.live = Some(Mutex::new(LiveInputs { db, evidence }));
-        Ok(state)
     }
 
     pub fn obs(&self) -> &Obs {
@@ -177,7 +169,6 @@ impl ServingKb {
             score,
             evidence,
             epoch: self.epoch(),
-            shard: None,
         })
     }
 
@@ -186,7 +177,7 @@ impl ServingKb {
     /// relation must be a declared *variable* relation, the value must
     /// fit its domain, each `(relation, id)` may appear once per batch,
     /// and the atom must exist in the grounded KB.
-    pub(crate) fn validate(
+    fn validate(
         &self,
         rows: &[EvidenceUpdate],
     ) -> Result<Vec<(u32, Option<u32>)>, ServeError> {
@@ -257,12 +248,9 @@ impl ServingKb {
     /// routing map, bump the epoch. All-or-nothing: a bad batch leaves
     /// tables and graph untouched.
     pub fn apply_rows(&self, raw: &[RawRowUpdate]) -> Result<RowsOutcome, ServeError> {
-        let Some(live) = &self.live else {
-            return Err(ServeError::RowsUnsupported { mode: "full (no live inputs retained)" });
-        };
         let updates = crate::rows::decode_updates(self.session.compiled(), raw)
             .map_err(ServeError::BadRows)?;
-        let mut inputs = live.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inputs = self.live.lock().unwrap_or_else(|e| e.into_inner());
         let LiveInputs { db, evidence } = &mut *inputs;
         let ev: &HashMap<(String, i64), u32> = evidence;
         let ev_fn = |rel: &str, values: &[Value]| -> Option<u32> {
@@ -352,4 +340,164 @@ fn live_checkpoint_state(kb: &KnowledgeBase, serve_epoch: u64) -> CheckpointStat
         recorded: true,
     };
     CheckpointState::Run { sampler: "spatial".to_owned(), chains: vec![chain; k] }
+}
+
+/// What the server actually serves: the constructed live KB or the lazy
+/// demand grounder. Every endpoint goes through this enum, so `sya
+/// serve` (at any `--shards` count) and `sya serve --lazy` expose the
+/// exact same HTTP surface.
+pub enum ServeState {
+    /// A constructed KB, kept live.
+    Single(Box<ServingKb>),
+    /// A KB that is never fully grounded: `/v1/marginal` and
+    /// `/v1/query` demand-ground the bound atom's neighborhood per
+    /// request (DESIGN.md §16).
+    Lazy(Box<LazyKb>),
+}
+
+impl From<ServingKb> for ServeState {
+    fn from(kb: ServingKb) -> Self {
+        ServeState::Single(Box::new(kb))
+    }
+}
+
+impl From<LazyKb> for ServeState {
+    fn from(kb: LazyKb) -> Self {
+        ServeState::Lazy(Box::new(kb))
+    }
+}
+
+impl ServeState {
+    pub fn obs(&self) -> &Obs {
+        match self {
+            ServeState::Single(kb) => kb.obs(),
+            ServeState::Lazy(kb) => kb.obs(),
+        }
+    }
+
+    /// Serving mode, as reported by `/healthz`: `"full"` for the
+    /// constructed KB, `"lazy"` for the demand grounder.
+    pub fn mode(&self) -> &'static str {
+        match self {
+            ServeState::Single(_) => "full",
+            ServeState::Lazy(_) => "lazy",
+        }
+    }
+
+    pub fn epoch(&self) -> u64 {
+        match self {
+            ServeState::Single(kb) => kb.epoch(),
+            ServeState::Lazy(kb) => kb.epoch(),
+        }
+    }
+
+    /// The per-request resource budget the server combines with the
+    /// request deadline: unlimited on the full path (reads are table
+    /// lookups), the configured grounding budget in lazy mode.
+    pub fn request_budget(&self) -> RunBudget {
+        match self {
+            ServeState::Single(_) => RunBudget::unlimited(),
+            ServeState::Lazy(kb) => kb.request_budget(),
+        }
+    }
+
+    /// `Ok(None)` = unknown atom; `Err(QueryBudget)` = the lazy demand
+    /// grounding exhausted its budget. `ctx` bounds the lazy path's
+    /// grounding and chain; the full path answers from the live KB and
+    /// ignores it.
+    pub fn marginal(
+        &self,
+        relation: &str,
+        id: i64,
+        ctx: &ExecContext,
+    ) -> Result<Option<MarginalAnswer>, ServeError> {
+        match self {
+            ServeState::Single(kb) => Ok(kb.marginal(relation, id)),
+            ServeState::Lazy(kb) => kb.marginal(relation, id, ctx),
+        }
+    }
+
+    /// Batch marginals; answers align with `queries` and `None` mirrors
+    /// the point path's 404. Lazy mode grounds the misses as **one
+    /// union neighborhood** (overlapping closures share their BFS and a
+    /// single restricted chain); the full path answers each query from
+    /// the live KB, which is already O(1) per lookup.
+    pub fn marginals(
+        &self,
+        queries: &[(String, i64)],
+        ctx: &ExecContext,
+    ) -> Result<Vec<Option<MarginalAnswer>>, ServeError> {
+        match self {
+            ServeState::Single(kb) => {
+                Ok(queries.iter().map(|(r, i)| kb.marginal(r, *i)).collect())
+            }
+            ServeState::Lazy(kb) => kb.marginal_batch(queries, ctx),
+        }
+    }
+
+    /// Applies a `/v1/rows` batch of base-row inserts/retractions. The
+    /// full path patches the live factor graph differentially
+    /// (`sya-delta`); lazy mode mutates the tables and surgically
+    /// invalidates intersecting cache entries.
+    pub fn apply_rows(&self, raw: &[RawRowUpdate]) -> Result<RowsOutcome, ServeError> {
+        match self {
+            ServeState::Single(kb) => kb.apply_rows(raw),
+            ServeState::Lazy(kb) => kb.apply_rows(raw),
+        }
+    }
+
+    pub fn apply_evidence(&self, rows: &[EvidenceUpdate]) -> Result<EvidenceOutcome, ServeError> {
+        match self {
+            ServeState::Single(kb) => kb.apply_evidence(rows),
+            ServeState::Lazy(kb) => kb.apply_evidence(rows),
+        }
+    }
+
+    /// Read access to the constructed KB; `None` in lazy mode, where no
+    /// KB ever exists to borrow.
+    pub fn with_kb<T>(&self, f: impl FnOnce(&KnowledgeBase) -> T) -> Option<T> {
+        match self {
+            ServeState::Single(kb) => Some(kb.with_kb(f)),
+            ServeState::Lazy(_) => None,
+        }
+    }
+
+    /// `/healthz`'s graph-shape fields, mode-appropriately: the full
+    /// path reports the constructed graph and its run outcome; lazy
+    /// reports the variables materialized across cached neighborhoods
+    /// and a literal `"lazy"` outcome.
+    pub fn health_shape(&self) -> (usize, String) {
+        match self {
+            ServeState::Single(kb) => {
+                kb.with_kb(|kb| (kb.grounding.graph.num_variables(), kb.outcome.to_string()))
+            }
+            ServeState::Lazy(kb) => {
+                let (_, vars) = kb.cache_shape();
+                (vars, "lazy".to_owned())
+            }
+        }
+    }
+
+    pub fn uptime(&self) -> Duration {
+        match self {
+            ServeState::Single(kb) => kb.uptime(),
+            ServeState::Lazy(kb) => kb.uptime(),
+        }
+    }
+
+    pub fn checkpoint_age(&self) -> Option<Duration> {
+        match self {
+            ServeState::Single(kb) => kb.checkpoint_age(),
+            ServeState::Lazy(_) => None,
+        }
+    }
+
+    pub fn checkpoint_now(&self) -> Result<Option<PathBuf>, ServeError> {
+        match self {
+            ServeState::Single(kb) => kb.checkpoint_now(),
+            // Nothing to persist: lazy state is the input tables plus
+            // the evidence map, both of which the operator already has.
+            ServeState::Lazy(_) => Ok(None),
+        }
+    }
 }

@@ -6,13 +6,10 @@
 //! 2. The shed counters equal the rejects the simulated acceptor
 //!    observed — every 503-with-Retry-After is accounted, none twice.
 //! 3. The in-flight gauge returns exactly to zero after drain.
-//! 4. The circuit breaker follows its closed→open→half-open→closed
-//!    transition diagram under arbitrary scripted failure sequences.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use sya_obs::Obs;
-use sya_runtime::{Backoff, Breaker, BreakerState};
 use sya_serve::{Admission, AdmissionConfig, Shed};
 
 fn admission(max_queue: usize, max_inflight: usize, shed_lane: usize) -> (Admission, Obs) {
@@ -165,58 +162,5 @@ proptest! {
         prop_assert_eq!(adm.inflight(), 0);
         prop_assert_eq!(gauge(&obs, "serve.admission.inflight"), 0.0);
         prop_assert_eq!(counter(&obs, "serve.admission.shed_inflight_total"), rejected);
-    }
-
-    /// Scripted breaker sequences against a reference model of the
-    /// transition diagram (zero-delay backoff: an open window has
-    /// always elapsed, so `allow` on Open grants the half-open probe).
-    #[test]
-    fn breaker_follows_the_transition_diagram(
-        threshold in 1u32..5,
-        ops in prop::collection::vec(0u8..3, 1..200),
-    ) {
-        let breaker = Breaker::new(threshold, Backoff::new(Duration::ZERO, Duration::ZERO));
-        // Reference model.
-        let mut state = BreakerState::Closed;
-        let mut fails = 0u32;
-        for op in ops {
-            match op {
-                // allow()
-                0 => {
-                    let expected = match state {
-                        BreakerState::Closed => true,
-                        BreakerState::Open => {
-                            state = BreakerState::HalfOpen;
-                            true
-                        }
-                        BreakerState::HalfOpen => false,
-                    };
-                    prop_assert_eq!(breaker.allow(), expected);
-                }
-                // on_success()
-                1 => {
-                    breaker.on_success();
-                    fails = 0;
-                    if state == BreakerState::HalfOpen {
-                        state = BreakerState::Closed;
-                    }
-                }
-                // on_failure()
-                _ => {
-                    breaker.on_failure();
-                    match state {
-                        BreakerState::Closed => {
-                            fails += 1;
-                            if fails >= threshold {
-                                state = BreakerState::Open;
-                            }
-                        }
-                        BreakerState::HalfOpen => state = BreakerState::Open,
-                        BreakerState::Open => {}
-                    }
-                }
-            }
-            prop_assert_eq!(breaker.state(), state);
-        }
     }
 }

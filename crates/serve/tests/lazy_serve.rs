@@ -101,7 +101,6 @@ fn lazy_server_answers_caches_and_shuts_down_cleanly() {
     assert!((0.0..=1.0).contains(&score), "score {score}");
     assert_eq!(first["evidence"], Json::Null);
     assert_eq!(first["epoch"].as_u64(), Some(0));
-    assert_eq!(first["shard"], Json::Null);
 
     // Second identical query: an epoch-keyed cache hit with the same
     // answer, no re-grounding.

@@ -182,30 +182,6 @@ fn rows_round_trip_births_and_buries_a_ground_atom_over_http() {
     server.shutdown(Duration::from_secs(10)).expect("no leaked threads");
 }
 
-#[test]
-fn rows_without_live_inputs_is_501_not_implemented() {
-    let dataset = dataset();
-    let obs = Obs::enabled();
-    let (session, kb) = build(&dataset, obs.clone());
-    // `ServingKb::new` keeps no database: the delta path has nothing to
-    // replay against, and says so instead of guessing.
-    let state = ServingKb::new(session, kb, obs).expect("spatial KB serves");
-    let cfg = ServeConfig { listen: "127.0.0.1:0".into(), workers: 1, ..ServeConfig::default() };
-    let server = SyaServer::start(state, cfg).expect("server binds an ephemeral port");
-    let addr = server.local_addr().to_string();
-    let r = http_post_json(
-        &addr,
-        "/v1/rows",
-        &format!(
-            "{{\"updates\":[{{\"op\":\"insert\",\"relation\":\"Well\",\"row\":{}}}]}}",
-            well_json(5000, 10.0, 10.0)
-        ),
-    )
-    .unwrap();
-    assert_eq!(r.status, 501, "{}", r.body);
-    server.shutdown(Duration::from_secs(10)).expect("no leaked threads");
-}
-
 fn lazy_kb(dataset: &Dataset) -> LazyKb {
     let session =
         SyaSession::new(&dataset.program, dataset.constants.clone(), dataset.metric, config())

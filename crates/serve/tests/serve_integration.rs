@@ -5,12 +5,13 @@
 //! joined under a deadline, so a leak is a test failure.
 
 use serde_json::Value as Json;
+use std::collections::HashMap;
 use std::time::Duration;
 use sya_bench::http::{http_get, http_post_json};
 use sya_core::{KnowledgeBase, SyaConfig, SyaSession};
 use sya_data::{gwdb_dataset, Dataset, GwdbConfig};
 use sya_obs::Obs;
-use sya_serve::{EvidenceUpdate, ServeConfig, ServingKb, ShardRouter, SyaServer};
+use sya_serve::{ServeConfig, ServingKb, SyaServer};
 
 fn dataset() -> Dataset {
     gwdb_dataset(&GwdbConfig { n_wells: 60, ..Default::default() })
@@ -22,6 +23,15 @@ fn config() -> SyaConfig {
         .with_seed(11)
         .with_bandwidth(sya_data::gwdb::GWDB_BANDWIDTH)
         .with_spatial_radius(sya_data::gwdb::GWDB_RADIUS)
+}
+
+/// Wraps a constructed KB for serving, retaining the dataset's tables
+/// and evidence the way `sya serve` does.
+fn serving(dataset: &Dataset, session: SyaSession, kb: KnowledgeBase) -> ServingKb {
+    let evidence: HashMap<(String, i64), u32> =
+        dataset.evidence.iter().map(|(&id, &v)| (("IsSafe".to_owned(), id), v)).collect();
+    ServingKb::with_live(session, kb, dataset.db.clone(), evidence, Obs::enabled())
+        .expect("spatial KB serves")
 }
 
 fn build(dataset: &Dataset, config: SyaConfig) -> (SyaSession, KnowledgeBase) {
@@ -37,7 +47,7 @@ fn build(dataset: &Dataset, config: SyaConfig) -> (SyaSession, KnowledgeBase) {
 
 fn start_server(dataset: &Dataset, config: SyaConfig) -> SyaServer {
     let (session, kb) = build(dataset, config);
-    let state = ServingKb::new(session, kb, Obs::enabled()).expect("spatial KB serves");
+    let state = serving(dataset, session, kb);
     let cfg = ServeConfig {
         listen: "127.0.0.1:0".into(),
         workers: 2,
@@ -169,154 +179,6 @@ fn rejects_malformed_requests_with_typed_statuses() {
     server.shutdown(Duration::from_secs(10)).expect("no leaked threads");
 }
 
-#[test]
-fn shard_router_routes_by_owner_and_updates_one_shard_only() {
-    let dataset = dataset();
-    let cfg = config().with_shards(2).with_partition_level(3);
-    let (session, kb) = build(&dataset, cfg);
-    let router = ShardRouter::new(session, kb, Obs::enabled()).expect("router builds");
-    assert_eq!(router.shard_count(), 2);
-
-    // Find query atoms owned by different shards.
-    let ids = dataset.query_ids();
-    let owned_by = |shard: usize| {
-        ids.iter()
-            .copied()
-            .find(|&id| router.shard_of("IsSafe", id) == Some(shard))
-            .expect("both shards own query atoms")
-    };
-    let (a, b) = (owned_by(0), owned_by(1));
-
-    // Marginals are tagged with the answering shard.
-    assert_eq!(router.marginal("IsSafe", a).unwrap().unwrap().shard, Some(0));
-    assert_eq!(router.marginal("IsSafe", b).unwrap().unwrap().shard, Some(1));
-
-    // Evidence for shard 0's atom touches shard 0 only.
-    let outcome = router
-        .apply_evidence(&[sya_serve::EvidenceUpdate {
-            relation: "IsSafe".into(),
-            id: a,
-            value: Some(0),
-        }])
-        .expect("evidence applies");
-    assert!(outcome.resampled > 0);
-    assert_eq!(router.shard_epochs(), vec![1, 0], "only the owner re-infers");
-    assert_eq!(router.epoch(), 1);
-    // The owner serves the update; the other shard is untouched.
-    assert_eq!(router.marginal("IsSafe", a).unwrap().unwrap().evidence, Some(0));
-    assert_eq!(router.marginal("IsSafe", b).unwrap().unwrap().evidence, None);
-
-    // The same router behind the HTTP surface: healthz reports the
-    // shard count, marginal answers carry the shard tag.
-    let server = SyaServer::start(
-        router,
-        ServeConfig { listen: "127.0.0.1:0".into(), workers: 2, ..ServeConfig::default() },
-    )
-    .expect("server starts on the router");
-    let addr = server.local_addr().to_string();
-    let health = get_ok(&addr, "/healthz");
-    assert_eq!(health["shards"].as_u64(), Some(2));
-    assert_eq!(health["epoch"].as_u64(), Some(1));
-    let m = get_ok(&addr, &format!("/v1/marginal/IsSafe?args={b}"));
-    assert_eq!(m["shard"].as_u64(), Some(1));
-    let ev = post_ok(
-        &addr,
-        "/v1/evidence",
-        &format!("{{\"rows\":[{{\"relation\":\"IsSafe\",\"id\":{b},\"value\":1}}]}}"),
-    );
-    assert_eq!(ev["epoch"].as_u64(), Some(2), "{ev}");
-    server.shutdown(Duration::from_secs(10)).expect("no leaked threads");
-}
-
-#[test]
-fn down_shard_degrades_to_503_while_healthy_shards_keep_answering() {
-    let dataset = dataset();
-    let cfg = config().with_shards(2).with_partition_level(3);
-    let (session, kb) = build(&dataset, cfg);
-    let router = ShardRouter::new(session, kb, Obs::enabled()).expect("router builds");
-
-    let ids = dataset.query_ids();
-    let owned_by = |shard: usize| {
-        ids.iter()
-            .copied()
-            .find(|&id| router.shard_of("IsSafe", id) == Some(shard))
-            .expect("both shards own query atoms")
-    };
-    let (a, b) = (owned_by(0), owned_by(1));
-
-    let server = SyaServer::start(
-        router,
-        ServeConfig { listen: "127.0.0.1:0".into(), workers: 2, ..ServeConfig::default() },
-    )
-    .expect("server starts on the router");
-    let addr = server.local_addr().to_string();
-
-    // Take shard 1 down behind the live server.
-    let sya_serve::ServeState::Sharded(router) = server.state().as_ref() else {
-        panic!("router state expected");
-    };
-    router.mark_shard_down(1);
-    assert_eq!(router.down_shards(), vec![1]);
-
-    // The healthy shard keeps answering; the down shard's atoms come
-    // back 503 with a Retry-After hint, not 404 and not a hang.
-    let m = get_ok(&addr, &format!("/v1/marginal/IsSafe?args={a}"));
-    assert_eq!(m["shard"].as_u64(), Some(0));
-    let down = http_get(&addr, &format!("/v1/marginal/IsSafe?args={b}")).unwrap();
-    assert_eq!(down.status, 503, "{}", down.body);
-    assert!(down.body.contains("shard 1 is down"), "{}", down.body);
-    assert_eq!(down.header("Retry-After"), Some("5"), "headers: {:?}", down.headers);
-
-    // Unknown atoms are still a 404 — degradation must not shadow
-    // client errors.
-    assert_eq!(http_get(&addr, "/v1/marginal/IsSafe?args=999999").unwrap().status, 404);
-
-    // Evidence touching the down shard is rejected whole (no partial
-    // application); evidence for the healthy shard still lands.
-    let ev = http_post_json(
-        &addr,
-        "/v1/evidence",
-        &format!(
-            "{{\"rows\":[{{\"relation\":\"IsSafe\",\"id\":{a},\"value\":1}},\
-             {{\"relation\":\"IsSafe\",\"id\":{b},\"value\":0}}]}}"
-        ),
-    )
-    .unwrap();
-    assert_eq!(ev.status, 503, "{}", ev.body);
-    assert_eq!(router.shard_epochs(), vec![0, 0], "rejected batch must not re-infer");
-    let ok = post_ok(
-        &addr,
-        "/v1/evidence",
-        &format!("{{\"rows\":[{{\"relation\":\"IsSafe\",\"id\":{a},\"value\":1}}]}}"),
-    );
-    assert_eq!(ok["epoch"].as_u64(), Some(1), "{ok}");
-
-    // healthz reports the degradation instead of lying with "ok".
-    let health = get_ok(&addr, "/healthz");
-    assert_eq!(health["status"].as_str(), Some("degraded"));
-    assert_eq!(health["shards_down"], serde_json::json!([1]));
-
-    // /metrics carries the per-shard availability gauges and counts
-    // every 503 rejection (two so far: one marginal, one evidence).
-    let metrics = http_get(&addr, "/metrics").unwrap();
-    assert_eq!(metrics.status, 200);
-    for needle in
-        ["sya_serve_shard_0_up 1", "sya_serve_shard_1_up 0", "sya_serve_shard_unavailable_total 2"]
-    {
-        assert!(metrics.body.contains(needle), "metrics missing {needle}:\n{}", metrics.body);
-    }
-
-    // Recovery: marking the shard up restores full service.
-    router.mark_shard_up(1);
-    let m = get_ok(&addr, &format!("/v1/marginal/IsSafe?args={b}"));
-    assert_eq!(m["shard"].as_u64(), Some(1));
-    assert_eq!(get_ok(&addr, "/healthz")["status"].as_str(), Some("ok"));
-    let recovered = http_get(&addr, "/metrics").unwrap();
-    assert!(recovered.body.contains("sya_serve_shard_1_up 1"), "{}", recovered.body);
-
-    server.shutdown(Duration::from_secs(10)).expect("no leaked threads");
-}
-
 /// First value of a Prometheus sample line `NAME VALUE`.
 fn prom_value(body: &str, name: &str) -> Option<f64> {
     body.lines().find_map(|l| {
@@ -333,7 +195,7 @@ fn overload_sheds_with_retry_after_while_health_plane_answers() {
     let dataset = dataset();
     let qid = *dataset.query_ids().first().unwrap();
     let (session, kb) = build(&dataset, config());
-    let state = ServingKb::new(session, kb, Obs::enabled()).expect("spatial KB serves");
+    let state = serving(&dataset, session, kb);
     // A deliberately tiny envelope: one worker, one queue slot — a
     // burst of expensive evidence POSTs must overflow into sheds while
     // the health plane keeps answering through the shed lane.
@@ -415,108 +277,6 @@ fn overload_sheds_with_retry_after_while_health_plane_answers() {
 }
 
 #[test]
-fn breaker_opens_after_consecutive_failures_and_probe_closes_it() {
-    use sya_runtime::{Backoff, BreakerState};
-
-    let dataset = dataset();
-    let cfg = config().with_shards(2).with_partition_level(3);
-    let (session, kb) = build(&dataset, cfg);
-    let mut router = ShardRouter::new(session, kb, Obs::enabled()).expect("router builds");
-
-    let ids = dataset.query_ids();
-    let owned_by = |router: &ShardRouter, shard: usize| {
-        ids.iter()
-            .copied()
-            .find(|&id| router.shard_of("IsSafe", id) == Some(shard))
-            .expect("both shards own query atoms")
-    };
-    let (a, b) = (owned_by(&router, 0), owned_by(&router, 1));
-
-    // Part 1 — zero-delay probe window: the transition script runs
-    // without sleeping. Two consecutive failures trip the breaker.
-    // Reads resume through the elapsed window but never consume the
-    // half-open probe or close the breaker — only a write can fail, so
-    // only a successful write probe closes it (otherwise a cheap read
-    // would close a breaker whose writes are still failing and flap it).
-    router.set_breaker_policy(2, Backoff::new(Duration::ZERO, Duration::ZERO));
-    router.record_shard_failure(1);
-    assert_eq!(router.breaker_state(1), Some(BreakerState::Closed));
-    router.record_shard_failure(1);
-    assert_eq!(router.breaker_state(1), Some(BreakerState::Open));
-    assert_eq!(router.open_breakers(), vec![1]);
-    let m = router.marginal("IsSafe", b).expect("read admitted through the elapsed window");
-    assert!(m.is_some());
-    assert_eq!(
-        router.breaker_state(1),
-        Some(BreakerState::Open),
-        "a read neither consumes the probe nor closes the breaker"
-    );
-    router
-        .apply_evidence(&[EvidenceUpdate { relation: "IsSafe".into(), id: b, value: Some(0) }])
-        .expect("write probe admitted through the elapsed window");
-    assert_eq!(router.breaker_state(1), Some(BreakerState::Closed), "probe success closes");
-    assert!(router.open_breakers().is_empty());
-
-    // Part 2 — a long probe window behind the live server: the open
-    // breaker fast-fails over HTTP while the healthy shard answers and
-    // /metrics tells "breaker-open" apart from "marked down".
-    router.set_breaker_policy(2, Backoff::new(Duration::from_secs(600), Duration::from_secs(600)));
-    router.record_shard_failure(1);
-    router.record_shard_failure(1);
-    assert_eq!(router.breaker_state(1), Some(BreakerState::Open));
-
-    let server = SyaServer::start(
-        router,
-        ServeConfig { listen: "127.0.0.1:0".into(), workers: 2, ..ServeConfig::default() },
-    )
-    .expect("server starts on the router");
-    let addr = server.local_addr().to_string();
-
-    // Healthy shard still answers; the sick shard's atoms fast-fail
-    // with 503 + Retry-After naming the breaker, not the supervisor.
-    let ok = get_ok(&addr, &format!("/v1/marginal/IsSafe?args={a}"));
-    assert_eq!(ok["shard"].as_u64(), Some(0));
-    let fast = http_get(&addr, &format!("/v1/marginal/IsSafe?args={b}")).unwrap();
-    assert_eq!(fast.status, 503, "{}", fast.body);
-    assert!(fast.body.contains("breaker is open"), "{}", fast.body);
-    assert_eq!(fast.header("Retry-After"), Some("5"), "headers: {:?}", fast.headers);
-
-    // Evidence touching the sick shard is rejected whole, before any
-    // shard re-infers.
-    let ev = http_post_json(
-        &addr,
-        "/v1/evidence",
-        &format!(
-            "{{\"rows\":[{{\"relation\":\"IsSafe\",\"id\":{a},\"value\":1}},\
-             {{\"relation\":\"IsSafe\",\"id\":{b},\"value\":0}}]}}"
-        ),
-    )
-    .unwrap();
-    assert_eq!(ev.status, 503, "{}", ev.body);
-
-    // healthz reports the open breaker distinctly from shards_down.
-    let health = get_ok(&addr, "/healthz");
-    assert_eq!(health["status"].as_str(), Some("degraded"));
-    assert_eq!(health["shards_down"], serde_json::json!([]));
-    assert_eq!(health["breakers_open"], serde_json::json!([1]));
-
-    // /metrics: the shard is *up* (not supervisor-down) with breaker
-    // *open* — the distinction the fleet plane needs — and fast-fails
-    // are counted separately from shard_unavailable.
-    let metrics = http_get(&addr, "/metrics").unwrap();
-    for needle in ["sya_serve_shard_1_up 1", "sya_serve_shard_1_breaker 1"] {
-        assert!(metrics.body.contains(needle), "metrics missing {needle}:\n{}", metrics.body);
-    }
-    assert!(
-        prom_value(&metrics.body, "sya_serve_shard_breaker_fastfail_total").unwrap_or(0.0) >= 2.0,
-        "{}",
-        metrics.body
-    );
-
-    server.shutdown(Duration::from_secs(10)).expect("no leaked threads");
-}
-
-#[test]
 fn warm_start_from_serve_checkpoint_preserves_marginals() {
     let dir = std::env::temp_dir().join(format!("sya_serve_warm_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -525,7 +285,7 @@ fn warm_start_from_serve_checkpoint_preserves_marginals() {
     let cfg = config().with_checkpoints(dir.to_str().unwrap(), 1000);
 
     let (session, kb) = build(&dataset, cfg.clone());
-    let state = ServingKb::new(session, kb, Obs::enabled()).expect("spatial KB serves");
+    let state = serving(&dataset, session, kb);
 
     // Move the KB past its constructed state, then snapshot: the
     // checkpoint must capture the *post-evidence* marginals.

@@ -1500,14 +1500,16 @@ mod tests {
 
     #[test]
     fn series_wire_round_trips_the_convergence_series() {
-        let mut s = ConvergenceSeries::default();
-        s.flip_rate = vec![0.5, 0.25];
-        s.marginal_delta = vec![0.1, 0.05];
-        s.pll = vec![(0.0, -12.5)];
+        let mut s = ConvergenceSeries {
+            flip_rate: vec![0.5, 0.25],
+            marginal_delta: vec![0.1, 0.05],
+            pll: vec![(0.0, -12.5)],
+            samples_total: 100,
+            flips_total: 40,
+            epochs: 2,
+            ..ConvergenceSeries::default()
+        };
         s.conclique_samples[0] = 7;
-        s.samples_total = 100;
-        s.flips_total = 40;
-        s.epochs = 2;
         let wire = SeriesWire::from_series(&s);
         let text = serde_json::to_string(&wire).unwrap();
         let back: SeriesWire = serde_json::from_str(&text).unwrap();

@@ -69,7 +69,8 @@
 //!   --epochs here defaults to the short restricted-chain budget (240),
 //!   not the full pipeline's 1000.
 //!
-//! serve-only options:
+//! serve-only options (`--shards` on serve only shapes construction:
+//! the constructed KB is served as one live state, as if unsharded):
 //!   --lazy                    never ground the full KB: demand-ground
 //!                             each /v1/marginal neighborhood through
 //!                             the query grounder, behind an
@@ -1036,7 +1037,9 @@ fn cmd_query(
 
 /// `sya serve`: construct the KB once (optionally warm-started via
 /// `--checkpoint-dir --resume`), then keep it live behind the HTTP
-/// serving layer until SIGTERM/SIGINT or a cancelled token. With
+/// serving layer until SIGTERM/SIGINT or a cancelled token. `--shards
+/// N` deals the construction's sampling units to N owners exactly as
+/// `sya run --shards N` does; the result is the same one live KB. With
 /// `--lazy` the construction is skipped entirely: requests demand-ground
 /// their neighborhoods through the query grounder (DESIGN.md §16).
 fn cmd_serve(
@@ -1089,21 +1092,12 @@ fn cmd_serve(
         if !kb.outcome.is_completed() {
             diag.info(&format!("run outcome: {}", kb.outcome))?;
         }
-        if session.config().sharding.is_enabled() {
-            diag.info(&format!(
-                "routing across {} spatial shards (partition level {})",
-                session.config().sharding.shards,
-                session.config().sharding.partition_level
-            ))?;
-            sya_serve::ShardRouter::new(session, kb, obs).map_err(|e| e.to_string())?.into()
-        } else {
-            // Keep the input tables and evidence map alive behind the
-            // serving state: POST /v1/rows replays base-row deltas
-            // against them through sya-delta instead of re-grounding.
-            sya_serve::ServingKb::with_live(session, kb, db, evidence, obs)
-                .map_err(|e| e.to_string())?
-                .into()
-        }
+        // Keep the input tables and evidence map alive behind the
+        // serving state: POST /v1/rows replays base-row deltas against
+        // them through sya-delta instead of re-grounding.
+        sya_serve::ServingKb::with_live(session, kb, db, evidence, obs)
+            .map_err(|e| e.to_string())?
+            .into()
     };
     let cfg = sya_serve::ServeConfig {
         listen: opts.listen.clone(),

@@ -6,8 +6,11 @@
 //! SIGKILL workers mid-run; here we keep to what a test harness can do
 //! deterministically on any machine.
 
+use serde_json::Value as Json;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
 
 const PROGRAM: &str = "\
 Well(id bigint, location point, arsenic double).\n\
@@ -167,5 +170,144 @@ fn cluster_subcommands_validate_their_flags() {
         assert_eq!(code, 1, "{args:?} should be rejected");
         assert!(err.contains(needle), "{args:?}: {err}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A running `sya serve` child, killed on drop so a failing test leaves
+/// no server behind.
+struct Served {
+    child: Child,
+    addr: String,
+}
+
+impl Served {
+    /// Starts `sya serve` with `args` and reads the address it prints on
+    /// its `serving on http://` line.
+    fn spawn(args: &[&str]) -> Served {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sya"))
+            .arg("serve")
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("sya binary runs");
+        let stdout = child.stdout.take().expect("piped stdout");
+        let addr = BufReader::new(stdout)
+            .lines()
+            .find_map(|line| Some(line.ok()?.strip_prefix("serving on http://")?.to_owned()));
+        let served = Served { child, addr: addr.unwrap_or_default() };
+        assert!(!served.addr.is_empty(), "sya serve {args:?} never reported its address");
+        served
+    }
+
+    /// SIGTERMs the server and returns its exit code.
+    fn terminate(mut self) -> i32 {
+        let pid = self.child.id().to_string();
+        let sent = Command::new("kill").args(["-TERM", &pid]).status().expect("kill runs");
+        assert!(sent.success(), "SIGTERM to {pid} failed");
+        self.child.wait().expect("server exits").code().unwrap_or(-1)
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        // A no-op once `terminate` has reaped the child.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// One HTTP/1.1 exchange over a raw socket: (status, body).
+fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("server accepts");
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("server answers");
+    let status = raw.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status line");
+    let body = raw.split_once("\r\n\r\n").map_or("", |(_, b)| b).to_owned();
+    (status, body)
+}
+
+#[test]
+fn sharded_serve_is_one_live_kb_with_unsharded_answers() {
+    let dir = tmpdir("serve");
+    let program = write_file(&dir, "p.ddlog", PROGRAM);
+    let wells = write_file(&dir, "wells.csv", WELLS);
+    let ckpt_dir = dir.join("ckpts");
+    let table = format!("Well={wells}");
+    let common = [
+        program.as_str(),
+        "--table",
+        &table,
+        "--epochs",
+        "160",
+        "--bandwidth",
+        "2",
+        "--radius",
+        "4",
+        "--partition-level",
+        "2",
+        "--listen",
+        "127.0.0.1:0",
+        "--serve-workers",
+        "1",
+    ];
+    // (score, epoch) of every well's atom.
+    let marginals = |addr: &str| -> Vec<(f64, u64)> {
+        (0..6)
+            .map(|id| {
+                let path = format!("/v1/marginal/IsSafe?args={id}");
+                let (status, body) = http(addr, "GET", &path, "");
+                assert_eq!(status, 200, "IsSafe({id}): {body}");
+                let m: Json = serde_json::from_str(&body).expect("marginal JSON");
+                (m["score"].as_f64().expect("score"), m["epoch"].as_u64().expect("epoch"))
+            })
+            .collect()
+    };
+
+    // The one-shard construct is the unsharded reference: a sharded
+    // construct is one spatial instance, as in the CLI run parity test.
+    let mut args = common.to_vec();
+    args.extend(["--shards", "1"]);
+    let unsharded = Served::spawn(&args);
+    let reference = marginals(&unsharded.addr);
+    assert_eq!(unsharded.terminate(), 0, "unsharded serve must exit cleanly on SIGTERM");
+
+    let mut args = common.to_vec();
+    args.extend(["--shards", "2", "--checkpoint-dir", ckpt_dir.to_str().unwrap()]);
+    let sharded = Served::spawn(&args);
+    let addr = sharded.addr.clone();
+    // Epoch 0: the sharded construct is the unsharded one, served whole.
+    assert_eq!(marginals(&addr), reference, "--shards 2 must serve the unsharded scores");
+
+    // The one live KB absorbs a base-row insert differentially.
+    let (status, body) = http(
+        &addr,
+        "POST",
+        "/v1/rows",
+        r#"{"updates":[{"op":"insert","relation":"Well","row":[6,[1.5,0.5],0.1]}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    let outcome: Json = serde_json::from_str(&body).expect("rows JSON");
+    assert!(outcome["vars_added"].as_u64().unwrap_or(0) >= 1, "{outcome}");
+    let (status, body) = http(&addr, "GET", "/v1/marginal/IsSafe?args=6", "");
+    assert_eq!(status, 200, "the inserted well's atom is served: {body}");
+    assert_eq!(sharded.terminate(), 0, "sharded serve must exit cleanly on SIGTERM");
+
+    // Serving keeps no per-shard replicas, so no per-shard stores.
+    let entries: Vec<String> = std::fs::read_dir(&ckpt_dir)
+        .expect("checkpoint dir exists")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        entries.iter().all(|name| !name.starts_with("serve-shard-")),
+        "per-shard serve stores: {entries:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
