@@ -295,13 +295,6 @@ echo "fleet metrics smoke: $fleet_samples fleet samples, per-shard labels and dr
 ./target/release/sampler_bench_smoke /tmp/sya_ci_bench_sampler.json
 echo "sampler hot-path smoke: BENCH_sampler.json schema valid"
 
-# Query latency sweep (DESIGN.md §16): a reduced sweep of the
-# demand-driven grounding bench must produce a valid sya.bench.query.v1
-# document. (Speed is judged on sya-benchmark's `lazy_query` workload.)
-./target/release/query_latency /tmp/sya_ci_bench_query.json 200 8 2> /dev/null
-./target/release/query_bench_smoke /tmp/sya_ci_bench_query.json
-echo "query bench smoke: fresh sweep valid"
-
 # Overload smoke (DESIGN.md §15): a deliberately tiny serve envelope —
 # one worker, queue depth 4 — driven well past capacity by the
 # open-loop load generator in evidence mode (each accepted request is a
@@ -469,10 +462,3 @@ for shard_flags in "" "--shards 2"; do
     fi
     echo "delta rows smoke (${shard_flags:-unsharded}): insert/retract round trip restored baseline marginals"
 done
-
-# Delta throughput sweep (DESIGN.md §17): a reduced sweep of the
-# differential-maintenance bench must produce a valid sya.bench.delta.v1
-# document. (Speed is judged on sya-benchmark's `serve_rows` workload.)
-./target/release/delta_throughput /tmp/sya_ci_bench_delta.json 200 4 2> /dev/null
-./target/release/delta_bench_smoke /tmp/sya_ci_bench_delta.json
-echo "delta bench smoke: fresh sweep valid"

@@ -241,26 +241,12 @@ fn fig8_fig9(scale: Scale, precision_recall_view: bool) {
         nyccas_dataset(&NyccasConfig { grid: scale.nyccas_grid, ..Default::default() }),
     ];
     let mut rows = Vec::new();
-    let mut speedup_notes: Vec<String> = Vec::new();
     for dataset in &datasets {
         for (engine, config) in [
             ("Sya", SyaConfig::sya().with_epochs(1000)),
             ("DeepDive", SyaConfig::deepdive().with_epochs(1000)),
         ] {
             let runs = repeat_runs(dataset, &config, scale.runs);
-            if engine == "Sya" && !precision_recall_view {
-                if let Some(pyramid) = runs.last().and_then(|(_, kb)| kb.pyramid.as_ref()) {
-                    // Analytic conclique schedule: what the paper's 32
-                    // hardware threads would buy per epoch.
-                    let w = sya_infer::epoch_work(pyramid, 8, 32);
-                    speedup_notes.push(format!(
-                        "{}: modeled conclique speedup at 32 workers = {:.1}x (schedule efficiency {:.0}%)",
-                        dataset.name,
-                        w.speedup(),
-                        100.0 * w.efficiency(),
-                    ));
-                }
-            }
             let precs: Vec<f64> = runs.iter().map(|(e, _)| e.precision()).collect();
             let recs: Vec<f64> = runs.iter().map(|(e, _)| e.recall()).collect();
             let f1s: Vec<f64> = runs.iter().map(|(e, _)| e.f1()).collect();
@@ -312,9 +298,6 @@ fn fig8_fig9(scale: Scale, precision_recall_view: bool) {
                 100.0 * (sya.grounding_ms / dd.grounding_ms - 1.0),
                 100.0 * (sya.inference_ms / dd.inference_ms - 1.0),
             );
-        }
-        for note in &speedup_notes {
-            println!("{note}");
         }
         save_json("fig9", &rows);
     }
@@ -815,24 +798,7 @@ fn ablations(scale: Scale) {
         });
     }
 
-    // 4. Higher-order region factors (the paper's out-of-scope
-    //    extension): pairwise only vs pairwise + region consensus.
-    for (label, scale) in [("pairwise", None), ("with_regions", Some(0.5))] {
-        let mut config = SyaConfig::sya().with_epochs(400);
-        config.ground.region_factor_scale = scale;
-        let kb = build_kb(&base, config);
-        let eval = evaluate(&base, &kb);
-        rows.push(AblationRow {
-            study: "high_order",
-            variant: label.to_owned(),
-            f1: eval.f1(),
-            spatial_factors: kb.grounding.graph.num_spatial_factors()
-                + kb.grounding.graph.num_region_factors(),
-            inference_ms: kb.timings.inference.as_secs_f64() * 1e3,
-        });
-    }
-
-    // 5. Spatial radius: the graph-size vs quality trade-off.
+    // 4. Spatial radius: the graph-size vs quality trade-off.
     for r in [10.0f64, 30.0, 60.0, 120.0] {
         let config = SyaConfig::sya().with_epochs(400).with_spatial_radius(r);
         let kb = build_kb(&base, config);

@@ -261,131 +261,6 @@ pub fn validate_serve_bench_json(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `sya.bench.query.v1` document (`BENCH_query.json`,
-/// written by the `query_latency` bin): it must parse, carry the schema
-/// tag, and hold at least one scale whose numbers are internally
-/// consistent (positive query count, p50 ≤ p99, positive wall times,
-/// speedup agreeing with `full_construct_seconds / lazy_p50_seconds`) —
-/// the floor the demand-driven-grounding latency claim is judged
-/// against. The ≥ N× speedup gate itself lives in `query_bench_smoke`,
-/// so the validator stays reusable for exploratory runs.
-pub fn validate_query_bench_json(text: &str) -> Result<(), String> {
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if v["schema"] != "sya.bench.query.v1" {
-        return Err(format!("bad schema tag: {}", v["schema"]));
-    }
-    if !v["dataset"].is_string() {
-        return Err("missing field \"dataset\"".into());
-    }
-    let scales = v["scales"].as_array().ok_or("missing scales array")?;
-    if scales.is_empty() {
-        return Err("scales array is empty".into());
-    }
-    for (i, s) in scales.iter().enumerate() {
-        for key in [
-            "n_wells",
-            "full_construct_seconds",
-            "queries",
-            "lazy_p50_seconds",
-            "lazy_p99_seconds",
-            "lazy_mean_seconds",
-            "mean_neighborhood_variables",
-            "parity_mean_abs_delta",
-            "parity_max_abs_delta",
-            "speedup",
-        ] {
-            if !s[key].is_number() {
-                return Err(format!("scale {i}: missing {key:?}"));
-            }
-        }
-        let n = |key: &str| s[key].as_f64().unwrap_or(0.0);
-        if n("queries") <= 0.0 {
-            return Err(format!("scale {i}: no queries were timed"));
-        }
-        if n("full_construct_seconds") <= 0.0 || n("lazy_p50_seconds") <= 0.0 {
-            return Err(format!("scale {i}: non-positive wall time"));
-        }
-        if n("lazy_p50_seconds") > n("lazy_p99_seconds") {
-            return Err(format!("scale {i}: p50 exceeds p99"));
-        }
-        let implied = n("full_construct_seconds") / n("lazy_p50_seconds");
-        let reported = n("speedup");
-        if (implied - reported).abs() > implied * 0.01 + 1e-9 {
-            return Err(format!(
-                "scale {i}: speedup {reported:.3} disagrees with \
-                 full/p50 = {implied:.3}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `sya.bench.delta.v1` document (`BENCH_delta.json`,
-/// written by the `delta_throughput` bin): it must parse, carry the
-/// schema tag, and hold internally consistent numbers (positive update
-/// count and wall times, p50 ≤ p99, `rows_per_second` agreeing with
-/// `1 / delta_update_p50_seconds`, `speedup` agreeing with
-/// `full_ground_sample_seconds / delta_update_p50_seconds`) — the floor
-/// the differential-maintenance throughput claim is judged against.
-/// The ≥ N× speedup gate itself lives in `delta_bench_smoke`, so the
-/// validator stays reusable for exploratory runs.
-pub fn validate_delta_bench_json(text: &str) -> Result<(), String> {
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if v["schema"] != "sya.bench.delta.v1" {
-        return Err(format!("bad schema tag: {}", v["schema"]));
-    }
-    if !v["dataset"].is_string() {
-        return Err("missing field \"dataset\"".into());
-    }
-    for key in [
-        "n_wells",
-        "full_epochs",
-        "cycles",
-        "updates",
-        "full_ground_sample_seconds",
-        "delta_update_p50_seconds",
-        "delta_update_p99_seconds",
-        "delta_update_mean_seconds",
-        "rows_per_second",
-        "mean_resampled",
-        "parity_mean_abs_delta",
-        "parity_max_abs_delta",
-        "speedup",
-    ] {
-        if !v[key].is_number() {
-            return Err(format!("missing field {key:?}"));
-        }
-    }
-    let n = |key: &str| v[key].as_f64().unwrap_or(0.0);
-    if n("cycles") <= 0.0 || n("updates") <= 0.0 {
-        return Err("no updates were timed".into());
-    }
-    if n("full_ground_sample_seconds") <= 0.0 || n("delta_update_p50_seconds") <= 0.0 {
-        return Err("non-positive wall time".into());
-    }
-    if n("delta_update_p50_seconds") > n("delta_update_p99_seconds") {
-        return Err("p50 exceeds p99".into());
-    }
-    if n("parity_mean_abs_delta") > n("parity_max_abs_delta") {
-        return Err("parity mean exceeds parity max".into());
-    }
-    let implied_rate = 1.0 / n("delta_update_p50_seconds");
-    let reported_rate = n("rows_per_second");
-    if (implied_rate - reported_rate).abs() > implied_rate * 0.01 + 1e-9 {
-        return Err(format!(
-            "rows_per_second {reported_rate:.3} disagrees with 1/p50 = {implied_rate:.3}"
-        ));
-    }
-    let implied = n("full_ground_sample_seconds") / n("delta_update_p50_seconds");
-    let reported = n("speedup");
-    if (implied - reported).abs() > implied * 0.01 + 1e-9 {
-        return Err(format!("speedup {reported:.3} disagrees with full/p50 = {implied:.3}"));
-    }
-    Ok(())
-}
-
 /// Evaluates a knowledge base with the paper's quality metrics.
 pub fn evaluate(dataset: &Dataset, kb: &KnowledgeBase) -> QualityEval {
     let relation = target_relation(dataset);
@@ -555,80 +430,6 @@ mod tests {
         assert!(
             validate_serve_bench_json(&doc(&[sweep(400, 0, 400, 400, 0)])).is_err(),
             "no sweep accepted anything"
-        );
-    }
-
-    #[test]
-    fn query_bench_validator_checks_internal_consistency() {
-        let scale = |full: f64, p50: f64, p99: f64, speedup: f64| {
-            format!(
-                "{{\"n_wells\": 240, \"full_construct_seconds\": {full}, \"queries\": 20, \
-                 \"lazy_p50_seconds\": {p50}, \"lazy_p99_seconds\": {p99}, \
-                 \"lazy_mean_seconds\": {p50}, \"mean_neighborhood_variables\": 12.5, \
-                 \"parity_mean_abs_delta\": 0.03, \"parity_max_abs_delta\": 0.08, \
-                 \"speedup\": {speedup}}}"
-            )
-        };
-        let doc = |scales: &[String]| {
-            format!(
-                "{{\"schema\": \"sya.bench.query.v1\", \"dataset\": \"GWDB\", \
-                 \"scales\": [{}]}}",
-                scales.join(",")
-            )
-        };
-
-        validate_query_bench_json(&doc(&[scale(2.0, 0.004, 0.02, 500.0)])).unwrap();
-
-        assert!(validate_query_bench_json("not json").is_err());
-        assert!(validate_query_bench_json("{\"schema\": \"other\"}").is_err());
-        assert!(validate_query_bench_json(&doc(&[])).is_err(), "empty scales");
-        assert!(
-            validate_query_bench_json(&doc(&[scale(2.0, 0.02, 0.004, 100.0)])).is_err(),
-            "p50 exceeds p99"
-        );
-        assert!(
-            validate_query_bench_json(&doc(&[scale(2.0, 0.004, 0.02, 9000.0)])).is_err(),
-            "speedup disagrees with full/p50"
-        );
-        assert!(
-            validate_query_bench_json(&doc(&[scale(0.0, 0.004, 0.02, 0.0)])).is_err(),
-            "non-positive wall time"
-        );
-    }
-
-    #[test]
-    fn delta_bench_validator_checks_internal_consistency() {
-        let doc = |full: f64, p50: f64, p99: f64, rate: f64, speedup: f64| {
-            format!(
-                "{{\"schema\": \"sya.bench.delta.v1\", \"dataset\": \"GWDB\", \
-                 \"n_wells\": 960, \"full_epochs\": 1000, \"seed\": 11, \"cycles\": 20, \
-                 \"updates\": 40, \"full_ground_sample_seconds\": {full}, \
-                 \"delta_update_p50_seconds\": {p50}, \"delta_update_p99_seconds\": {p99}, \
-                 \"delta_update_mean_seconds\": {p50}, \"rows_per_second\": {rate}, \
-                 \"mean_resampled\": 120.0, \"parity_mean_abs_delta\": 0.03, \
-                 \"parity_max_abs_delta\": 0.08, \"speedup\": {speedup}}}"
-            )
-        };
-
-        validate_delta_bench_json(&doc(5.0, 0.005, 0.02, 200.0, 1000.0)).unwrap();
-
-        assert!(validate_delta_bench_json("not json").is_err());
-        assert!(validate_delta_bench_json("{\"schema\": \"other\"}").is_err());
-        assert!(
-            validate_delta_bench_json(&doc(5.0, 0.02, 0.005, 50.0, 250.0)).is_err(),
-            "p50 exceeds p99"
-        );
-        assert!(
-            validate_delta_bench_json(&doc(5.0, 0.005, 0.02, 200.0, 9000.0)).is_err(),
-            "speedup disagrees with full/p50"
-        );
-        assert!(
-            validate_delta_bench_json(&doc(5.0, 0.005, 0.02, 999.0, 1000.0)).is_err(),
-            "rows_per_second disagrees with 1/p50"
-        );
-        assert!(
-            validate_delta_bench_json(&doc(0.0, 0.005, 0.02, 200.0, 0.0)).is_err(),
-            "non-positive wall time"
         );
     }
 

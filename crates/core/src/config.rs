@@ -189,13 +189,6 @@ impl SyaConfig {
         self
     }
 
-    /// Enables higher-order region factors at the given scale (the
-    /// out-of-scope extension of Section IV-A, implemented here).
-    pub fn with_region_factors(mut self, scale: f64) -> Self {
-        self.ground.region_factor_scale = Some(scale);
-        self
-    }
-
     /// Sets a wall-clock deadline for the whole run. When it fires the
     /// pipeline stops at the next checkpoint and returns partial
     /// marginals tagged [`RunOutcome::TimedOut`](sya_runtime::RunOutcome).

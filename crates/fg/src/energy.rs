@@ -15,12 +15,7 @@ pub fn log_prob_unnormalized(graph: &FactorGraph, assignment: &Assignment) -> f6
         .iter()
         .map(|s| s.energy(assignment[s.a as usize], assignment[s.b as usize]))
         .sum();
-    let region: f64 = graph
-        .region_factors()
-        .iter()
-        .map(|r| r.energy(&value_of))
-        .sum();
-    logical + spatial + region
+    logical + spatial
 }
 
 /// Local energy of variable `v` taking `value`, with the other values
@@ -40,9 +35,6 @@ pub fn local_energy_with(
     for &si in graph.spatial_factors_of(v) {
         let s = graph.spatial_factor(si);
         e += s.energy(value_of(s.a), value_of(s.b));
-    }
-    for &ri in graph.region_factors_of(v) {
-        e += graph.region_factor(ri).energy(&value_of);
     }
     e
 }
@@ -192,25 +184,6 @@ mod tests {
             let fast = binary_conditional_true(&g, &|u| assignment[u as usize], 1);
             assert!((probs[1] - fast).abs() < 1e-12, "a={a}: {} vs {fast}", probs[1]);
         }
-    }
-
-    #[test]
-    fn region_factors_enter_the_conditional() {
-        use crate::region_factor::RegionFactor;
-        let mut g = FactorGraph::new();
-        let a = g.add_variable(Variable::binary(0, "a"));
-        let b = g.add_variable(Variable::binary(0, "b").with_evidence(1));
-        let c = g.add_variable(Variable::binary(0, "c").with_evidence(1));
-        g.add_region_factor(RegionFactor::new(vec![a, b, c], 1.5));
-        let assignment = g.initial_assignment();
-        let probs = conditional_distribution(&g, &assignment, a);
-        // Two region-mates at 1: consensus pulls a strongly toward 1.
-        assert!(probs[1] > 0.7, "{probs:?}");
-        // Global energy sees the region term.
-        assert!(
-            log_prob_unnormalized(&g, &vec![1, 1, 1])
-                > log_prob_unnormalized(&g, &vec![0, 1, 1])
-        );
     }
 
     #[test]

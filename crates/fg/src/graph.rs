@@ -1,7 +1,6 @@
 //! The factor graph container with variable→factor adjacency.
 
 use crate::factor::Factor;
-use crate::region_factor::RegionFactor;
 use crate::spatial_factor::SpatialFactor;
 use crate::variable::{VarId, Variable};
 use serde::{Deserialize, Serialize};
@@ -17,16 +16,10 @@ pub struct FactorGraph {
     variables: Vec<Variable>,
     factors: Vec<Factor>,
     spatial_factors: Vec<SpatialFactor>,
-    /// Higher-order region factors (extension; empty by default).
-    #[serde(default)]
-    region_factors: Vec<RegionFactor>,
     /// `var -> indices into factors`.
     var_factors: Vec<Vec<u32>>,
     /// `var -> indices into spatial_factors`.
     var_spatial: Vec<Vec<u32>>,
-    /// `var -> indices into region_factors`.
-    #[serde(default)]
-    var_region: Vec<Vec<u32>>,
     /// Tombstone flags for logical factors. Empty until the first
     /// removal (old serialized graphs load with every factor live);
     /// once non-empty it is kept at `factors.len()`.
@@ -63,7 +56,6 @@ impl FactorGraph {
         self.variables.push(v);
         self.var_factors.push(Vec::new());
         self.var_spatial.push(Vec::new());
-        self.var_region.push(Vec::new());
         if !self.var_dead.is_empty() {
             self.var_dead.push(false);
         }
@@ -207,7 +199,6 @@ impl FactorGraph {
         }
         self.var_factors[v as usize].clear();
         self.var_spatial[v as usize].clear();
-        self.var_region[v as usize].clear();
         self.variables[v as usize].evidence = None;
         self.var_dead[v as usize] = true;
     }
@@ -239,10 +230,10 @@ impl FactorGraph {
         self.spatial_factors.len()
     }
 
-    /// Total factor count (logical + spatial + region) — the paper's
-    /// "No. Factors".
+    /// Total factor count (logical + spatial) — the paper's "No.
+    /// Factors".
     pub fn total_factors(&self) -> usize {
-        self.factors.len() + self.spatial_factors.len() + self.region_factors.len()
+        self.factors.len() + self.spatial_factors.len()
     }
 
     pub fn variables(&self) -> &[Variable] {
@@ -263,34 +254,6 @@ impl FactorGraph {
 
     pub fn factor(&self, idx: u32) -> &Factor {
         &self.factors[idx as usize]
-    }
-
-    /// Adds a higher-order region factor (extension).
-    pub fn add_region_factor(&mut self, f: RegionFactor) -> u32 {
-        let idx = self.region_factors.len() as u32;
-        for &v in &f.vars {
-            debug_assert!((v as usize) < self.variables.len());
-            self.var_region[v as usize].push(idx);
-        }
-        self.region_factors.push(f);
-        idx
-    }
-
-    pub fn region_factors(&self) -> &[RegionFactor] {
-        &self.region_factors
-    }
-
-    pub fn region_factor(&self, idx: u32) -> &RegionFactor {
-        &self.region_factors[idx as usize]
-    }
-
-    /// Indices of region factors touching `v`.
-    pub fn region_factors_of(&self, v: VarId) -> &[u32] {
-        self.var_region.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    pub fn num_region_factors(&self) -> usize {
-        self.region_factors.len()
     }
 
     /// Updates the weight of a logical factor (weight learning).
@@ -388,13 +351,6 @@ impl FactorGraph {
                 out.add_spatial_factor(SpatialFactor { a, b, ..*s });
             }
         }
-        for r in &self.region_factors {
-            let vars: Option<Vec<VarId>> =
-                r.vars.iter().map(|&v| remap[v as usize]).collect();
-            if let Some(vars) = vars {
-                out.add_region_factor(RegionFactor { vars, weight: r.weight });
-            }
-        }
         (out, remap)
     }
 
@@ -416,22 +372,17 @@ impl FactorGraph {
             .map(|f| size_of::<Factor>() + f.vars.capacity() * size_of::<VarId>())
             .sum();
         let spatial = self.spatial_factors.capacity() * size_of::<SpatialFactor>();
-        let region: usize = self
-            .region_factors
-            .iter()
-            .map(|r| size_of::<RegionFactor>() + r.vars.capacity() * size_of::<VarId>())
-            .sum();
-        let adjacency: usize = [&self.var_factors, &self.var_spatial, &self.var_region]
+        let adjacency: usize = [&self.var_factors, &self.var_spatial]
             .iter()
             .flat_map(|adj| adj.iter())
             .map(|list| size_of::<Vec<u32>>() + list.capacity() * size_of::<u32>())
             .sum();
-        (vars + factors + spatial + region + adjacency) as u64
+        (vars + factors + spatial + adjacency) as u64
     }
 
     /// Structural fingerprint of the graph (FNV-1a, 64-bit): variable
-    /// domains/evidence/locations, factor kinds/scopes/weights, spatial
-    /// and region factors. Checkpoints record it so that a resume
+    /// domains/evidence/locations, factor kinds/scopes/weights and
+    /// spatial factors. Checkpoints record it so that a resume
     /// against a *different* grounding (changed program, data, or
     /// weights) is rejected instead of silently producing garbage
     /// marginals. Names are deliberately excluded — they do not affect
@@ -481,14 +432,10 @@ impl FactorGraph {
                 None => 0,
             });
         }
-        mix(self.region_factors.len() as u64);
-        for r in &self.region_factors {
-            mix(r.vars.len() as u64);
-            for &v in &r.vars {
-                mix(v as u64);
-            }
-            mix(r.weight.to_bits());
-        }
+        // The empty higher-order region-factor list that graphs once
+        // carried (an extension since removed). Checkpoints record this
+        // hash, so it keeps the word to let existing checkpoints resume.
+        mix(0);
         // Liveness: tombstoned slots and retired variables change the
         // model even when the dense arrays look alike (a zero-weight
         // live factor is not the same model as a tombstone awaiting
@@ -530,13 +477,6 @@ impl FactorGraph {
             let o = self.spatial_factors[si as usize].other(v);
             if o != v {
                 out.push(o);
-            }
-        }
-        for &ri in self.region_factors_of(v) {
-            for &u in &self.region_factors[ri as usize].vars {
-                if u != v {
-                    out.push(u);
-                }
             }
         }
         out.sort_unstable();
@@ -605,24 +545,10 @@ mod tests {
     }
 
     #[test]
-    fn region_factor_adjacency_and_neighbours() {
-        let mut g = tiny();
-        let d = g.add_variable(Variable::binary(0, "d"));
-        g.add_region_factor(crate::region_factor::RegionFactor::new(vec![0, 1, d], 0.5));
-        assert_eq!(g.num_region_factors(), 1);
-        assert_eq!(g.region_factors_of(0), &[0]);
-        assert_eq!(g.region_factors_of(d), &[0]);
-        assert!(g.neighbours(d).contains(&0));
-        assert!(g.neighbours(d).contains(&1));
-        assert_eq!(g.total_factors(), 4);
-    }
-
-    #[test]
     fn remove_variables_compacts_and_drops_factors() {
         let mut g = tiny();
         let d = g.add_variable(Variable::binary(0, "d"));
         g.add_factor(Factor::new(FactorKind::And, vec![0, d], 1.0));
-        g.add_region_factor(crate::region_factor::RegionFactor::new(vec![0, 1, d], 0.5));
         // Remove variable 1 ("b"): every factor touching it is dropped;
         // factors over surviving variables are kept and remapped.
         let remove: std::collections::HashSet<VarId> = [1u32].into();
@@ -633,8 +559,6 @@ mod tests {
         // Imply(0,1) and spatial(0,1) dropped; IsTrue(2) and And(0,d) kept.
         assert_eq!(g2.num_factors(), 2);
         assert_eq!(g2.num_spatial_factors(), 0);
-        // Region factor touching the removed var is dropped entirely.
-        assert_eq!(g2.num_region_factors(), 0);
         // Names preserved through the remap.
         assert_eq!(g2.variable(remap[3].unwrap()).name, "d");
         // Adjacency is rebuilt consistently.

@@ -26,7 +26,6 @@ pub mod energy;
 pub mod factor;
 pub mod graph;
 pub mod partition;
-pub mod region_factor;
 pub mod serialize;
 pub mod spatial_factor;
 pub mod variable;
@@ -37,7 +36,6 @@ pub use energy::{binary_conditional_true, conditional_distribution, conditional_
 pub use factor::{Factor, FactorKind};
 pub use graph::{Assignment, FactorGraph};
 pub use partition::ShardInterface;
-pub use region_factor::RegionFactor;
 pub use serialize::PersistError;
 pub use spatial_factor::SpatialFactor;
 pub use variable::{Domain, VarId, Variable};

@@ -16,7 +16,7 @@ use crate::variable::VarId;
 /// Per-shard halo/boundary classification of a partitioned graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardInterface {
-    /// Factors (logical + spatial + region) whose endpoints all live on
+    /// Factors (logical and spatial) whose endpoints all live on
     /// one shard.
     pub interior_factors: usize,
     /// Factors spanning at least two shards.
@@ -95,9 +95,6 @@ impl FactorGraph {
         }
         for f in self.spatial_factors() {
             classify(&mut [f.a, f.b].into_iter());
-        }
-        for f in self.region_factors() {
-            classify(&mut f.vars.iter().copied());
         }
         for h in &mut interface.halo {
             h.sort_unstable();

@@ -21,6 +21,10 @@ pub enum PersistError {
         offset: usize,
         detail: String,
     },
+    /// Load-side failure: a well-formed graph that uses a model feature
+    /// this version no longer has. Loading it without that feature
+    /// would sample a different distribution, so it is refused.
+    Unsupported(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -32,6 +36,9 @@ impl std::fmt::Display for PersistError {
                 f,
                 "factor graph file is corrupt at byte offset {offset}: {detail}"
             ),
+            PersistError::Unsupported(what) => {
+                write!(f, "factor graph file uses an unsupported feature: {what}")
+            }
         }
     }
 }
@@ -76,8 +83,26 @@ impl FactorGraph {
     /// reported as [`PersistError::Corrupt`] with byte-offset context —
     /// on the load side a malformed stream means a damaged file, not an
     /// encoding bug.
-    pub fn load<R: Read>(reader: R) -> Result<FactorGraph, PersistError> {
-        serde_json::from_reader(reader).map_err(corrupt)
+    ///
+    /// Files written before the higher-order region-factor extension
+    /// was removed carry `region_factors` and `var_region` keys; they
+    /// load when the list is empty (the decoder skips unknown keys) and
+    /// are rejected with [`PersistError::Unsupported`] otherwise.
+    pub fn load<R: Read>(mut reader: R) -> Result<FactorGraph, PersistError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        let text = std::str::from_utf8(&bytes).map_err(|e| PersistError::Corrupt {
+            offset: e.valid_up_to(),
+            detail: "invalid UTF-8".into(),
+        })?;
+        let value = serde_json::parse_value(text).map_err(corrupt)?;
+        let regions = value.get("region_factors").and_then(|r| r.as_array());
+        if regions.is_some_and(|r| !r.is_empty()) {
+            return Err(PersistError::Unsupported(
+                "higher-order region factors (a removed extension)".into(),
+            ));
+        }
+        serde_json::from_value(value).map_err(corrupt)
     }
 
     /// Saves to a file path (buffered).

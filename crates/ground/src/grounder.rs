@@ -6,8 +6,7 @@ use crate::pruning::{allowed_domain_pairs, build_cooccurrence};
 use crate::GroundError;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use sya_fg::{
-    Domain, Factor, FactorKind, FactorGraph, RegionFactor, SpatialFactor, VarId, Variable,
-    WeightingFn,
+    Domain, Factor, FactorKind, FactorGraph, SpatialFactor, VarId, Variable, WeightingFn,
 };
 use sya_geom::{haversine_miles, DistanceMetric, Point, RTree, Rect};
 use sya_lang::{CompiledAtom, CompiledProgram, CompiledRule, HeadOp, RuleKind, SlotTerm};
@@ -45,11 +44,6 @@ pub struct GroundConfig {
     /// Generate spatial factors (`true` = Sya; `false` = DeepDive-style
     /// baseline that treats spatial predicates as plain booleans).
     pub generate_spatial_factors: bool,
-    /// When set, additionally generate one higher-order [`RegionFactor`]
-    /// per spatial-grid cell holding three or more atoms, scaled by this
-    /// factor (the paper's out-of-scope high-order extension; off by
-    /// default). [`RegionFactor`]: sya_fg::RegionFactor
-    pub region_factor_scale: Option<f64>,
     /// Domain size per variable relation; absent means binary.
     pub domains: HashMap<String, u32>,
 }
@@ -63,7 +57,6 @@ impl Default for GroundConfig {
             spatial_radius: None,
             pruning_threshold: 0.5,
             generate_spatial_factors: true,
-            region_factor_scale: None,
             domains: HashMap::new(),
         }
     }
@@ -1089,14 +1082,6 @@ impl<'p> Grounder<'p> {
                 pairs
             });
 
-            // Higher-order extension: one region factor per grid cell
-            // of side `radius` that holds >= 3 atoms.
-            if let Some(scale) = self.config.region_factor_scale {
-                if new_only.is_none() {
-                    self.ground_region_factors(out, &atoms, radius, &params.wfn, scale);
-                }
-            }
-
             let tree = RTree::bulk_load(
                 atoms
                     .iter()
@@ -1215,55 +1200,6 @@ impl GroundConfig {
             }
         }
         true
-    }
-}
-
-impl Grounder<'_> {
-    /// Emits one [`RegionFactor`] per grid cell (side = `radius`) with at
-    /// least three atoms; the weight is the weighting function evaluated
-    /// at the cell's mean atom-to-centroid distance, times `scale`.
-    fn ground_region_factors(
-        &self,
-        out: &mut Grounding,
-        atoms: &[(VarId, Point)],
-        radius: f64,
-        wfn: &WeightingFn,
-        scale: f64,
-    ) {
-        let bbox = atoms
-            .iter()
-            .fold(Rect::EMPTY, |acc, (_, p)| acc.union(&Rect::from_point(*p)));
-        if bbox.is_empty() || radius <= 0.0 {
-            return;
-        }
-        let cols = (bbox.width() / radius).ceil().max(1.0) as usize;
-        let rows = (bbox.height() / radius).ceil().max(1.0) as usize;
-        let mut grid = sya_geom::UniformGrid::new(bbox.expand(1e-9), cols, rows);
-        for &(id, p) in atoms {
-            grid.insert(&p, (id, p));
-        }
-        for (_, _, members) in grid.non_empty_cells() {
-            if members.len() < 3 {
-                continue;
-            }
-            let n = members.len() as f64;
-            let cx = members.iter().map(|(_, p)| p.x).sum::<f64>() / n;
-            let cy = members.iter().map(|(_, p)| p.y).sum::<f64>() / n;
-            let centroid = Point::new(cx, cy);
-            let mean_d = members
-                .iter()
-                .map(|(_, p)| metric_distance(self.config.metric, p, &centroid))
-                .sum::<f64>()
-                / n;
-            let weight = scale * wfn.weight(mean_d);
-            if weight < WeightingFn::NEGLIGIBLE {
-                continue;
-            }
-            out.graph.add_region_factor(RegionFactor::new(
-                members.iter().map(|(id, _)| *id).collect(),
-                weight,
-            ));
-        }
     }
 }
 
@@ -1885,30 +1821,6 @@ mod tests {
             .unwrap();
         assert!(new_vars.is_empty());
         assert_eq!(out.graph.num_variables(), before);
-    }
-
-    #[test]
-    fn region_factors_generated_when_enabled() {
-        let cfg = GroundConfig {
-            spatial_radius: Some(4.0),
-            weighting_bandwidth: Some(4.0),
-            region_factor_scale: Some(1.0),
-            ..Default::default()
-        };
-        let g = ground(12, cfg);
-        // Wells at x=0..11 on a line; 4-mile grid cells hold >= 3 atoms.
-        assert!(g.graph.num_region_factors() > 0, "expected region factors");
-        for r in g.graph.region_factors() {
-            assert!(r.vars.len() >= 3);
-            assert!(r.weight > 0.0);
-        }
-        // Off by default.
-        let plain = ground(12, GroundConfig {
-            spatial_radius: Some(4.0),
-            weighting_bandwidth: Some(4.0),
-            ..Default::default()
-        });
-        assert_eq!(plain.graph.num_region_factors(), 0);
     }
 
     #[test]

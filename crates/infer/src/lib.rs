@@ -47,7 +47,6 @@ pub mod run;
 pub mod schedule;
 #[cfg(test)]
 mod testutil;
-pub mod work_model;
 
 pub use ckpt::{ChainState, CheckpointOptions, CheckpointSink, CheckpointState};
 pub use conclique::{conclique_of, min_conclique_cover, Conclique};
@@ -61,4 +60,3 @@ pub use marginals::{average_kl_divergence, exact_marginals, MarginalCounts};
 pub use pyramid::{CellKey, PyramidIndex};
 pub use run::{InferError, SamplerRun};
 pub use schedule::{InferConfig, Phase, Schedule, SweepMode};
-pub use work_model::{epoch_work, EpochWork};

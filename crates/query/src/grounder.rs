@@ -604,7 +604,6 @@ fn ground_closure(
             !seed_set.contains(&u)
                 && out.graph.factors_of(u).is_empty()
                 && out.graph.spatial_factors_of(u).is_empty()
-                && out.graph.region_factors_of(u).is_empty()
         })
         .collect();
     let mut hop_vec: Vec<usize> = (0..out.graph.num_variables())
