@@ -119,16 +119,24 @@ pub fn metrics_record(obs: &sya_core::Obs) -> String {
 }
 
 /// Validates a `sya.metrics.v1` JSON dump: it must parse, carry the
-/// schema tag, and contain the phase/grounding/convergence keys that
-/// the benchmark tables and the CI smoke check depend on. Assumes a
-/// spatial-engine run (the `sya` default) for the convergence series.
+/// schema tag, and contain the phase/grounding/sweep-plan/convergence
+/// keys that the benchmark tables and the CI smoke check depend on.
+/// Assumes a spatial-engine run (the `sya` default) for the convergence
+/// series.
 pub fn validate_metrics_json(text: &str) -> Result<(), String> {
     let v: serde_json::Value =
         serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
     if v["schema"] != sya_obs::export::METRICS_SCHEMA {
         return Err(format!("bad schema tag: {}", v["schema"]));
     }
-    let gauges = ["phase.grounding_seconds", "phase.inference_seconds"];
+    let gauges = [
+        "phase.grounding_seconds",
+        "phase.inference_seconds",
+        "infer.plan.rows",
+        "infer.plan.general_rows",
+        "infer.plan.bytes",
+        "infer.plan.build_ms",
+    ];
     for key in gauges {
         if !v["gauges"][key].is_number() {
             return Err(format!("missing gauge {key:?}"));

@@ -1,5 +1,11 @@
 //! Energy (unnormalized log-probability) computations — Equations 1 and 3
-//! of the paper — and the local conditionals driving Gibbs sampling.
+//! of the paper — and the reference local conditionals.
+//!
+//! [`local_energy`] and [`conditional_distribution`] walk a variable's
+//! adjacency in the graph's own order, once per domain value. They are
+//! the definition the sampler is held to, not its hot path: Gibbs updates
+//! draw from a [`SweepPlan`](crate::SweepPlan), which compiles the same
+//! walk into flat rows and must agree with these functions bit for bit.
 
 use crate::graph::{Assignment, FactorGraph};
 use crate::variable::VarId;
@@ -18,16 +24,18 @@ pub fn log_prob_unnormalized(graph: &FactorGraph, assignment: &Assignment) -> f6
     logical + spatial
 }
 
-/// Local energy of variable `v` taking `value`, with the other values
-/// supplied by an arbitrary source (a plain assignment slice, or an
-/// atomic view during lock-free parallel sampling).
-pub fn local_energy_with(
-    graph: &FactorGraph,
-    value_source: &dyn Fn(VarId) -> u32,
-    v: VarId,
-    value: u32,
-) -> f64 {
-    let value_of = |u: VarId| if u == v { value } else { value_source(u) };
+/// Local energy of variable `v` taking `value`, holding the rest of the
+/// assignment fixed: the sum over factors touching `v` only, logical
+/// factors first, then spatial, each list in adjacency order.
+/// Differences of this function across values give the Gibbs
+/// conditional.
+///
+/// This walk is the reference the sampler is pinned to: a
+/// [`SweepPlan`](crate::SweepPlan) makes the same additions in the same
+/// order, so its conditionals equal the ones built from this function bit
+/// for bit (`tests/energy_props.rs`).
+pub fn local_energy(graph: &FactorGraph, assignment: &Assignment, v: VarId, value: u32) -> f64 {
+    let value_of = |u: VarId| if u == v { value } else { assignment[u as usize] };
     let mut e = 0.0;
     for &fi in graph.factors_of(v) {
         e += graph.factor(fi).energy(&value_of);
@@ -39,56 +47,30 @@ pub fn local_energy_with(
     e
 }
 
-/// Local energy of variable `v` taking `value`, holding the rest of the
-/// assignment fixed: the sum over factors touching `v` only. Differences
-/// of this function across values give the Gibbs conditional.
-pub fn local_energy(graph: &FactorGraph, assignment: &Assignment, v: VarId, value: u32) -> f64 {
-    local_energy_with(graph, &|u| assignment[u as usize], v, value)
-}
-
-/// Gibbs conditional with an arbitrary value source (see
-/// [`local_energy_with`]).
-pub fn conditional_with(
-    graph: &FactorGraph,
-    value_source: &dyn Fn(VarId) -> u32,
-    v: VarId,
-) -> Vec<f64> {
-    let h = graph.variable(v).domain.cardinality();
-    let energies: Vec<f64> = (0..h)
-        .map(|x| local_energy_with(graph, value_source, v, x))
-        .collect();
-    // Log-sum-exp normalization.
-    let max = energies.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut probs: Vec<f64> = energies.iter().map(|e| (e - max).exp()).collect();
-    let z: f64 = probs.iter().sum();
-    for p in &mut probs {
-        *p /= z;
-    }
-    probs
-}
-
-/// `P(v = 1 | rest)` for a *binary* variable — the allocation-free fast
-/// path used in samplers' hot loops (`conditional_with` allocates a
-/// probability vector per call).
-pub fn binary_conditional_true(
-    graph: &FactorGraph,
-    value_source: &dyn Fn(VarId) -> u32,
-    v: VarId,
-) -> f64 {
-    debug_assert_eq!(graph.variable(v).domain.cardinality(), 2);
-    let delta = local_energy_with(graph, value_source, v, 1)
-        - local_energy_with(graph, value_source, v, 0);
-    1.0 / (1.0 + (-delta).exp())
-}
-
 /// The full Gibbs conditional `P(v = x | rest)` over the variable's
-/// domain, as a normalized probability vector.
+/// domain, as a normalized probability vector: one [`local_energy`] walk
+/// per domain value.
 pub fn conditional_distribution(
     graph: &FactorGraph,
     assignment: &Assignment,
     v: VarId,
 ) -> Vec<f64> {
-    conditional_with(graph, &|u| assignment[u as usize], v)
+    let h = graph.variable(v).domain.cardinality();
+    let mut probs: Vec<f64> = (0..h).map(|x| local_energy(graph, assignment, v, x)).collect();
+    normalize(&mut probs);
+    probs
+}
+
+/// Turns local energies into probabilities in place (log-sum-exp).
+pub(crate) fn normalize(energies: &mut [f64]) {
+    let max = energies.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for e in energies.iter_mut() {
+        *e = (*e - max).exp();
+    }
+    let z: f64 = energies.iter().sum();
+    for p in energies {
+        *p /= z;
+    }
 }
 
 #[cfg(test)]
@@ -176,14 +158,21 @@ mod tests {
     }
 
     #[test]
-    fn binary_fast_path_matches_general_conditional() {
-        let g = two_var_graph(1.1, 0.6);
-        for a in [0u32, 1] {
-            let assignment = vec![a, 0];
-            let probs = conditional_distribution(&g, &assignment, 1);
-            let fast = binary_conditional_true(&g, &|u| assignment[u as usize], 1);
-            assert!((probs[1] - fast).abs() < 1e-12, "a={a}: {} vs {fast}", probs[1]);
-        }
+    fn a_repeated_scope_counts_its_factor_once() {
+        // `And [x, x]` binds one atom twice. It is one factor of weight
+        // 2, so P(x = 1) = e²/(1 + e²), not the double-counted e⁴/(1 + e⁴).
+        let mut g = FactorGraph::new();
+        let x = g.add_variable(Variable::binary(0, "x"));
+        g.add_factor(Factor::new(FactorKind::And, vec![x, x], 2.0));
+        assert_eq!(g.factors_of(x), &[0]);
+        let p = conditional_distribution(&g, &vec![0], x)[1];
+        let want = 2f64.exp() / (1.0 + 2f64.exp());
+        assert!((p - want).abs() < 1e-12, "{p} vs {want}");
+        assert!((p - 0.8808).abs() < 1e-4);
+        // A reused slot follows the same rule.
+        g.remove_factor(0);
+        g.add_factor(Factor::new(FactorKind::Imply, vec![x, x, x], 1.0));
+        assert_eq!(g.factors_of(x), &[0]);
     }
 
     #[test]

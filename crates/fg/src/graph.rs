@@ -67,23 +67,27 @@ impl FactorGraph {
     /// lockstep (e.g. grounding rule labels) must write at this index
     /// rather than assuming a push.
     ///
+    /// A scope that names one variable twice (`Safe(W1) & Safe(W2)`
+    /// binding one atom) still lists the factor once in that variable's
+    /// adjacency: the factor adds its weight to the energy once, so the
+    /// per-variable walk must visit it once.
+    ///
     /// # Panics
     /// Panics (debug) when a referenced variable does not exist.
     pub fn add_factor(&mut self, f: Factor) -> u32 {
         for &v in &f.vars {
             debug_assert!((v as usize) < self.variables.len(), "factor references unknown var");
         }
-        if let Some(idx) = self.factor_free.pop() {
-            for &v in &f.vars {
+        let idx = self.factor_free.pop().unwrap_or(self.factors.len() as u32);
+        for (i, &v) in f.vars.iter().enumerate() {
+            if !f.vars[..i].contains(&v) {
                 self.var_factors[v as usize].push(idx);
             }
+        }
+        if (idx as usize) < self.factors.len() {
             self.factors[idx as usize] = f;
             self.factor_dead[idx as usize] = false;
             return idx;
-        }
-        let idx = self.factors.len() as u32;
-        for &v in &f.vars {
-            self.var_factors[v as usize].push(idx);
         }
         self.factors.push(f);
         if !self.factor_dead.is_empty() {

@@ -19,23 +19,27 @@
 //!   (exponential distance weighing after GeoDa, gaussian,
 //!   inverse-distance, linear);
 //! * [`FactorGraph`] — adjacency-indexed storage;
-//! * [`energy`] — unnormalized log-probability (Eq. 1/3) and the local
-//!   conditionals used by every Gibbs variant in `sya-infer`.
+//! * [`energy`] — unnormalized log-probability (Eq. 1/3) and the
+//!   reference local conditionals;
+//! * [`SweepPlan`] — those conditionals compiled into flat edge rows for
+//!   the variables a Gibbs run sweeps (the sampler's hot path in
+//!   `sya-infer`, bit-identical to the reference).
 
 pub mod energy;
 pub mod factor;
 pub mod graph;
 pub mod partition;
+pub mod plan;
 pub mod serialize;
 pub mod spatial_factor;
 pub mod variable;
 pub mod weighting;
 
-pub use energy::{binary_conditional_true, conditional_distribution, conditional_with,
-    local_energy, local_energy_with, log_prob_unnormalized};
+pub use energy::{conditional_distribution, local_energy, log_prob_unnormalized};
 pub use factor::{Factor, FactorKind};
 pub use graph::{Assignment, FactorGraph};
 pub use partition::ShardInterface;
+pub use plan::SweepPlan;
 pub use serialize::PersistError;
 pub use spatial_factor::SpatialFactor;
 pub use variable::{Domain, VarId, Variable};

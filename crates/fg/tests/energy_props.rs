@@ -1,17 +1,19 @@
-//! Property tests for the per-variable energy walk.
+//! Property tests for the per-variable energy walk and the sweep plan.
 //!
-//! Gibbs samplers never evaluate the global energy: they walk the
-//! factors adjacent to one variable (`local_energy_with`) and turn the
-//! differences into a conditional. On random small graphs — binary and
-//! categorical variables, every logical factor kind, binary and
-//! categorical spatial factors, evidence and tombstoned factors — the
-//! walk must agree with the global `log_prob_unnormalized`, and the
-//! binary fast path with the general conditional.
+//! Gibbs samplers never evaluate the global energy: they sum the factors
+//! adjacent to one variable and turn the differences into a conditional.
+//! On random small graphs — binary and categorical variables, every
+//! logical factor kind (n-ary `Imply` included), binary, categorical and
+//! self-loop spatial factors, evidence, tombstoned factors and scopes that
+//! name one variable twice — the reference walk (`local_energy`) must
+//! agree with the global `log_prob_unnormalized`, and the `SweepPlan`
+//! the sampler draws from must reproduce the reference conditionals bit
+//! for bit.
 
 use proptest::prelude::*;
 use sya_fg::{
-    binary_conditional_true, conditional_distribution, local_energy, log_prob_unnormalized,
-    Factor, FactorGraph, FactorKind, SpatialFactor, VarId, Variable,
+    conditional_distribution, local_energy, log_prob_unnormalized, Factor, FactorGraph,
+    FactorKind, SpatialFactor, SweepPlan, VarId, Variable,
 };
 
 const KINDS: [FactorKind; 5] = [
@@ -47,14 +49,7 @@ fn build(vars: &[VarSpec], logical: &[LogicalSpec], spatial: &[SpatialSpec]) -> 
     let n = vars.len() as u32;
     let mut dead_logical = Vec::new();
     for (kind, scope, weight, removed) in logical {
-        // A scope names each variable once: a repeated variable would
-        // appear twice in its adjacency list.
-        let mut vars: Vec<VarId> = Vec::new();
-        for &v in scope {
-            if !vars.contains(&(v % n)) {
-                vars.push(v % n);
-            }
-        }
+        let mut vars: Vec<VarId> = scope.iter().map(|&v| v % n).collect();
         if KINDS[*kind] == FactorKind::IsTrue {
             vars.truncate(1);
         }
@@ -128,14 +123,65 @@ proptest! {
                     );
                 }
             }
-            if h == 2 {
-                let fast = binary_conditional_true(&g, &|u| assignment[u as usize], v);
-                let general = conditional_distribution(&g, &assignment, v)[1];
-                prop_assert!(
-                    (fast - general).abs() < 1e-9,
-                    "var {}: fast {} vs general {}", v, fast, general
-                );
-            }
         }
     }
+
+    #[test]
+    fn sweep_plan_conditionals_equal_the_reference_bit_for_bit(
+        vars in prop::collection::vec((0u32..3, 0u32..8), 1..7),
+        logical in prop::collection::vec(
+            (0usize..5, prop::collection::vec(0u32..6, 1..4), -2.0f64..2.0, 0u32..4),
+            0..10,
+        ),
+        spatial in prop::collection::vec(
+            (0u32..6, 0u32..6, -2.0f64..2.0, 0u32..2, (0u32..4, 0u32..4), 0u32..4),
+            0..8,
+        ),
+        values in prop::collection::vec(0u32..12, 6..7),
+        subset in prop::collection::vec(0u32..2, 6..7),
+    ) {
+        let g = build(&vars, &logical, &spatial);
+        let assignment: Vec<u32> = g
+            .variables()
+            .iter()
+            .map(|v| values[v.id as usize] % v.domain.cardinality())
+            .collect();
+        let all = g.num_variables() as VarId;
+        let plan = SweepPlan::build(&g, 0..all);
+        let mut probs = Vec::new();
+        for v in 0..all {
+            plan.conditional_into(&assignment, v, &mut probs);
+            let want = conditional_distribution(&g, &assignment, v);
+            prop_assert_eq!(bits(&probs), bits(&want), "var {} vector", v);
+            if g.variable(v).domain.cardinality() == 2 {
+                let delta =
+                    local_energy(&g, &assignment, v, 1) - local_energy(&g, &assignment, v, 0);
+                let want = 1.0 / (1.0 + (-delta).exp());
+                prop_assert_eq!(plan.p_true(&assignment, v).to_bits(), want.to_bits(), "var {}", v);
+            }
+        }
+
+        // A plan for a strict subset (variable 0 is never in it) holds
+        // rows for exactly the binary variables in it, and draws them as
+        // the full plan does.
+        let chosen: Vec<VarId> = (1..all).filter(|&v| subset[v as usize] == 1).collect();
+        let part = SweepPlan::build(&g, chosen.iter().copied());
+        let degree = |v: VarId| g.factors_of(v).len() + g.spatial_factors_of(v).len();
+        let mut rows = 0;
+        for v in 0..all {
+            let binary = g.variable(v).domain.cardinality() == 2;
+            let want = if binary && chosen.contains(&v) { degree(v) } else { 0 };
+            prop_assert_eq!(part.rows_of(v), want, "var {}", v);
+            rows += want;
+            if want > 0 {
+                let (got, full) = (part.p_true(&assignment, v), plan.p_true(&assignment, v));
+                prop_assert_eq!(got.to_bits(), full.to_bits(), "var {}", v);
+            }
+        }
+        prop_assert_eq!(part.num_rows(), rows);
+    }
+}
+
+fn bits(p: &[f64]) -> Vec<u64> {
+    p.iter().map(|x| x.to_bits()).collect()
 }

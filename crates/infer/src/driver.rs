@@ -37,7 +37,8 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
-use sya_fg::{FactorGraph, VarId};
+use std::time::{Duration, Instant};
+use sya_fg::{FactorGraph, SweepPlan, VarId};
 use sya_obs::{pll_stride, ConvergenceSeries, EpochTelemetry, Obs};
 use sya_runtime::{ExecContext, Phase, RunOutcome};
 
@@ -151,7 +152,7 @@ struct Board {
 /// `deal[phase][j]` of each phase, and lane `l` serves the views `l,
 /// l + lanes, …`.
 struct Lanes<'a> {
-    graph: &'a FactorGraph,
+    plan: SweepPlan<'a>,
     schedule: &'a Schedule,
     ctx: &'a ExecContext,
     views: Vec<Mutex<View>>,
@@ -197,7 +198,7 @@ impl Lanes<'_> {
         let units = &self.schedule.phases[phase].units;
         let mut view = self.view(i);
         for &u in &self.deal[phase][j] {
-            view.sweep(self.graph, self.seeds[board], tick, &units[u]);
+            view.sweep(&self.plan, self.seeds[board], tick, &units[u]);
         }
     }
 
@@ -301,6 +302,16 @@ fn publish_schedule_gauges(obs: &Obs, schedule: &Schedule, k: usize, share: usiz
     obs.gauge_set("infer.conclique_max_size", widest.max().unwrap_or(0) as f64);
     obs.gauge_set("infer.instances", k as f64);
     obs.gauge_set("infer.epochs_per_instance", share as f64);
+}
+
+/// Sweep-plan gauges: the rows the run's conditionals read, how many of
+/// them fall back to a factor's own energy function, their size, and
+/// how long the one build took.
+fn publish_plan_gauges(obs: &Obs, plan: &SweepPlan<'_>, build: Duration) {
+    obs.gauge_set("infer.plan.rows", plan.num_rows() as f64);
+    obs.gauge_set("infer.plan.general_rows", plan.num_general_rows() as f64);
+    obs.gauge_set("infer.plan.bytes", plan.approx_bytes() as f64);
+    obs.gauge_set("infer.plan.build_ms", build.as_secs_f64() * 1e3);
 }
 
 /// Runs `schedule` over `graph`: `cfg.instances` boards sharing
@@ -414,8 +425,16 @@ pub fn run_gibbs(
         });
         views.extend((0..vpb).map(|_| Mutex::new(View::new(assignment.clone()))));
     }
+    // One plan for the run, shared by every lane and instance: rows for
+    // exactly the variables this process sweeps.
+    let built = Instant::now();
+    let swept = schedule.units().flatten().copied().filter(|&v| owns(v as usize));
+    let plan = SweepPlan::build(graph, swept);
+    if obs.is_enabled() {
+        publish_plan_gauges(obs, &plan, built.elapsed());
+    }
     let pool = Lanes {
-        graph,
+        plan,
         schedule,
         ctx,
         views,

@@ -20,14 +20,21 @@
 //!   guarantee that for spatial factors of adjacent cells) and a
 //!   synchronous approximation otherwise.
 //!
+//! Each draw's conditional comes from the run's one [`SweepPlan`]: a
+//! binary variable's `P(v = 1)` is one pass over its flat edge rows, a
+//! categorical variable's vector one adjacency walk into the view's
+//! scratch buffer. The plan reproduces `sya_fg::conditional_distribution`
+//! bit for bit, so it changes how fast a draw is made, never its value.
+//!
 //! The driver ([`crate::driver`]) is the only caller: it holds each
 //! board as one view per owner and sweeps the views on its lanes, for a
-//! plain run, an in-process sharded run and a cluster worker alike.
+//! plain run, an in-process sharded run and a cluster worker alike, all
+//! against the one plan it built for the run.
 
 use crate::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sya_fg::{binary_conditional_true, conditional_with, FactorGraph, VarId};
+use sya_fg::{FactorGraph, SweepPlan, VarId};
 
 /// Tag mixed into the per-variable stream that draws initial values, so
 /// the init draw never collides with an epoch stream.
@@ -82,16 +89,22 @@ fn sample_index(rng: &mut StdRng, probs: &[f64]) -> u32 {
 }
 
 /// Draws a value for `v` from its Gibbs conditional: binary variables
-/// take the allocation-free sigmoid path, categorical ones the general
-/// normalized-vector path.
+/// take the plan's one pass over their rows, categorical ones its
+/// normalized vector, written into `probs`.
 #[inline]
-fn sample_conditional(graph: &FactorGraph, values: &[u32], v: VarId, rng: &mut StdRng) -> u32 {
+fn sample_conditional(
+    plan: &SweepPlan<'_>,
+    values: &[u32],
+    v: VarId,
+    rng: &mut StdRng,
+    probs: &mut Vec<f64>,
+) -> u32 {
     let prof = sya_obs::profile::start();
-    let source = |u: VarId| values[u as usize];
-    let x = if graph.variable(v).domain.cardinality() == 2 {
-        u32::from(rng.gen::<f64>() < binary_conditional_true(graph, &source, v))
+    let x = if plan.graph().variable(v).domain.cardinality() == 2 {
+        u32::from(rng.gen::<f64>() < plan.p_true(values, v))
     } else {
-        sample_index(rng, &conditional_with(graph, &source, v))
+        plan.conditional_into(values, v, probs);
+        sample_index(rng, probs)
     };
     sya_obs::profile::stop(sya_obs::profile::Site::DeltaEnergy, prof);
     x
@@ -114,11 +127,13 @@ pub(crate) struct View {
     writes: Vec<(VarId, u32)>,
     /// Pre-sweep values of the unit in flight (empty between units).
     undo: Vec<u32>,
+    /// Scratch for categorical conditionals, so no update allocates.
+    probs: Vec<f64>,
 }
 
 impl View {
     pub(crate) fn new(values: Vec<u32>) -> Self {
-        View { values, writes: Vec::new(), undo: Vec::new() }
+        View { values, writes: Vec::new(), undo: Vec::new(), probs: Vec::new() }
     }
 
     /// The board as of the last publish.
@@ -130,9 +145,10 @@ impl View {
     /// conditions on the unit's earlier draws and on the frozen rest.
     /// The draws are appended to the write log and rolled back out of
     /// the view, so the next unit of the phase sees the frozen board.
-    pub(crate) fn sweep(&mut self, graph: &FactorGraph, seed: u64, tick: u64, unit: &[VarId]) {
+    pub(crate) fn sweep(&mut self, plan: &SweepPlan<'_>, seed: u64, tick: u64, unit: &[VarId]) {
         for &v in unit {
-            let x = sample_conditional(graph, &self.values, v, &mut var_epoch_rng(seed, tick, v));
+            let mut rng = var_epoch_rng(seed, tick, v);
+            let x = sample_conditional(plan, &self.values, v, &mut rng, &mut self.probs);
             self.undo.push(std::mem::replace(&mut self.values[v as usize], x));
             self.writes.push((v, x));
         }
@@ -218,8 +234,9 @@ mod tests {
     fn sweep_sees_own_unit_writes_and_leaves_the_view_frozen() {
         let g = grid_graph(2, 0.8);
         let board = init_board(&g, 3, None);
+        let plan = SweepPlan::build(&g, [1, 2, 3]);
         let mut view = View::new(board.clone());
-        view.sweep(&g, 3, 0, &[1, 2, 3]);
+        view.sweep(&plan, 3, 0, &[1, 2, 3]);
         assert_eq!(view.values(), &board[..], "draws are rolled back out of the view");
         assert_eq!(view.writes.len(), 3);
         // Variable 3's draw conditioned on the draws of 1 and 2, not on
@@ -227,7 +244,7 @@ mod tests {
         // holds those draws reproduces it.
         let mut replay = View::new(board.clone());
         replay.apply(&view.writes[..2]);
-        replay.sweep(&g, 3, 0, &[3]);
+        replay.sweep(&plan, 3, 0, &[3]);
         assert_eq!(replay.writes[0], view.writes[2]);
         let writes = view.take_writes();
         view.apply(&writes);

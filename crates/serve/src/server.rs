@@ -98,6 +98,7 @@ impl SyaServer {
         let (shed_tx, shed_rx) = mpsc::channel::<Pending>();
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
+        state.obs().gauge_set("serve.workers_busy", 0.0);
 
         for i in 0..cfg.workers.max(1) {
             let rx = Arc::clone(&rx);
@@ -116,6 +117,7 @@ impl SyaServer {
                         let Pending { mut stream, ticket } = pending;
                         let waited = ticket.waited();
                         drop(ticket); // dequeued: free the queue slot now
+                        state.obs().gauge_add("serve.workers_busy", 1.0);
                         match admission.admit_waited(waited) {
                             Ok(budget) => {
                                 handle_connection(&state, &cfg, &admission, stream, budget);
@@ -129,6 +131,7 @@ impl SyaServer {
                                 write_shed(state.obs(), &mut stream, shed);
                             }
                         }
+                        state.obs().gauge_add("serve.workers_busy", -1.0);
                     }
                 })
                 .expect("spawn worker thread");

@@ -190,8 +190,18 @@ fn prom_value(body: &str, name: &str) -> Option<f64> {
     })
 }
 
+/// Polls `cond` until it holds; panics after 30 s.
+fn wait_for(what: &str, cond: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !cond() {
+        assert!(start.elapsed() < Duration::from_secs(30), "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn overload_sheds_with_retry_after_while_health_plane_answers() {
+    use std::io::{Read, Write};
     let dataset = dataset();
     let qid = *dataset.query_ids().first().unwrap();
     let (session, kb) = build(&dataset, config());
@@ -210,25 +220,48 @@ fn overload_sheds_with_retry_after_while_health_plane_answers() {
     let addr = server.local_addr().to_string();
     let body = format!("{{\"rows\":[{{\"relation\":\"IsSafe\",\"id\":{qid},\"value\":0}}]}}");
 
+    // The overflow must not depend on how long an evidence apply takes:
+    // a first POST whose body is still in flight holds the one worker in
+    // its request read until the test sends the rest. While it is held,
+    // at most one burst POST fits the queue and every other is shed.
+    let mut held = std::net::TcpStream::connect(&addr).expect("connect");
+    let head = format!(
+        "POST /v1/evidence HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    held.write_all(head.as_bytes()).unwrap();
+    held.write_all(&body.as_bytes()[..1]).unwrap();
+    let busy = || server.state().obs().metrics_snapshot().gauges.get("serve.workers_busy").copied();
+    wait_for("the worker to take the held POST", || busy() == Some(1.0));
+
     let mut accepted = 0u64;
     let mut shed = 0u64;
     let mut errors = 0u64;
     std::thread::scope(|scope| {
-        let mut posts = Vec::new();
+        let (done, results) = std::sync::mpsc::channel();
         for _ in 0..24 {
-            let addr = addr.clone();
-            let body = body.clone();
-            posts.push(scope.spawn(move || http_post_json(&addr, "/v1/evidence", &body)));
+            let (addr, body, done) = (addr.clone(), body.clone(), done.clone());
+            scope.spawn(move || done.send(http_post_json(&addr, "/v1/evidence", &body)).unwrap());
         }
+        // 23 of the 24 are shed while the worker is held; the 24th waits
+        // in the queue, which stays full until the held POST completes.
+        let mut outcomes: Vec<_> = (0..23).map(|_| results.recv().unwrap()).collect();
+        assert_eq!(server.admission().queued(), 1, "one POST waits in the full queue");
         // The health plane, polled mid-storm: every probe must answer
-        // 200 — through the shed lane when the main queue is full.
+        // 200 — through the shed lane, as the main queue is full.
         for _ in 0..10 {
             let health = http_get(&addr, "/healthz").expect("healthz reachable under load");
             assert_eq!(health.status, 200, "healthz under overload: {}", health.body);
             std::thread::sleep(Duration::from_millis(5));
         }
-        for post in posts {
-            match post.join().expect("post thread") {
+        held.write_all(&body.as_bytes()[1..]).unwrap();
+        let mut reply = String::new();
+        held.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200"), "held POST: {reply}");
+        outcomes.push(results.recv().unwrap());
+        for outcome in outcomes {
+            match outcome {
                 Ok(r) if r.status == 200 => accepted += 1,
                 Ok(r) if r.status == 503 => {
                     // Every shed carries the Retry-After contract.
